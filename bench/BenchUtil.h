@@ -26,6 +26,7 @@
 
 #include "core/SpiceConfig.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -96,10 +97,11 @@ class BenchJson {
 public:
   explicit BenchJson(std::string BenchName) : Name(std::move(BenchName)) {}
 
+  /// A non-finite value is written as NaN, which Python's json module
+  /// (scripts/compare_bench.py) accepts; printf's "nan"/"inf" would make
+  /// the whole file unparseable.
   void scalar(const std::string &Key, double V) {
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-    Fields.push_back("\"" + Key + "\": " + Buf);
+    Fields.push_back("\"" + Key + "\": " + number(V));
   }
 
   void scalar(const std::string &Key, uint64_t V) {
@@ -112,11 +114,8 @@ public:
 
   void series(const std::string &Key, const std::vector<double> &Vs) {
     std::string Row = "\"" + Key + "\": [";
-    for (size_t I = 0; I != Vs.size(); ++I) {
-      char Buf[64];
-      std::snprintf(Buf, sizeof(Buf), "%.6g", Vs[I]);
-      Row += (I ? ", " : "") + std::string(Buf);
-    }
+    for (size_t I = 0; I != Vs.size(); ++I)
+      Row += (I ? ", " : "") + number(Vs[I]);
     Row += "]";
     Fields.push_back(Row);
   }
@@ -144,6 +143,14 @@ public:
   }
 
 private:
+  static std::string number(double V) {
+    if (!std::isfinite(V))
+      return "NaN";
+    char Buf[64];
+    std::snprintf(Buf, sizeof(Buf), "%.6g", V);
+    return Buf;
+  }
+
   std::string Name;
   std::vector<std::string> Fields;
 };

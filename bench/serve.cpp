@@ -50,6 +50,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -102,13 +103,14 @@ struct ServeResult {
   uint64_t RemoteSteals = 0; ///< Nonzero only on a multi-node topology.
   bool OracleOk = true;
 
-  /// Fraction of worker steals that stayed on the victim's node (1.0
-  /// when the run never stole).
+  /// Fraction of worker steals that stayed on the victim's node; NaN
+  /// when the run never stole, since a ratio over no steals says
+  /// nothing about locality.
   double stealLocalFraction() const {
     uint64_t Total = LocalSteals + RemoteSteals;
     return Total ? static_cast<double>(LocalSteals) /
                        static_cast<double>(Total)
-                 : 1.0;
+                 : std::numeric_limits<double>::quiet_NaN();
   }
 };
 

@@ -329,6 +329,10 @@ private:
     Runaway, ///< Hit MaxSpecIterations (stale-pointer cycle guard).
   };
 
+  /// Where a chunk of the running invocation is. 32 bits: the resolving
+  /// thread parks on it (detail::ParkWord is a futex word).
+  enum class ChunkProgress : uint32_t { Queued, Running, Done };
+
   struct ChunkResult {
     ChunkStatus Status = ChunkStatus::Exited;
     uint64_t Work = 0;
@@ -462,11 +466,16 @@ private:
                     unsigned ActiveChunks, bool Stolen,
                     uint64_t IterBudget) {
     const LiveIn *Target = C < ActiveChunks ? &Pred[C] : nullptr;
+    // The resolving thread may be parked waiting for this chunk to start
+    // (see WaitForChunk).
+    Progress[C].Value.store(ChunkProgress::Running,
+                            std::memory_order_seq_cst);
+    detail::wake(Progress[C]);
     ChunkResult R = runChunk(Pred[C - 1], Target, C, cursorFor(C),
                              IterBudget);
     R.Stolen = Stolen;
     Results[C] = std::move(R);
-    DoneFlags[C].store(true, std::memory_order_release);
+    Progress[C].Value.store(ChunkProgress::Done, std::memory_order_release);
   }
 
   /// Iteration cap for speculative chunks the resolving main thread
@@ -518,7 +527,7 @@ private:
                        std::memory_order_release);
       Scheduler::Request R;
       R.RequestedLanes = ActiveChunks;
-      R.AllowStealing = effectiveK() > 1;
+      R.AllowStealing = oversubscribed();
       R.Priority = Config.Priority;
       R.Owner = std::this_thread::get_id();
       R.Invocations = static_cast<unsigned>(N);
@@ -766,7 +775,8 @@ private:
     bindChunkBuffers(ActiveChunks, S);
     for (unsigned I = 0; I <= ActiveChunks; ++I) {
       AbortFlags[I].store(false, std::memory_order_relaxed);
-      DoneFlags[I].store(false, std::memory_order_relaxed);
+      Progress[I].Value.store(ChunkProgress::Queued,
+                              std::memory_order_relaxed);
       specBuf(I).clear();
       Results[I].reset();
     }
@@ -818,10 +828,17 @@ private:
   /// job context (session pointer, active count, PredArena) lives in the
   /// loop so the lambda captures only `this` -- small enough for
   /// std::function's inline storage, so a launch never heap-allocates.
+  ///
+  /// At an effective k of 1 nothing is pushed after launch (no recovery
+  /// requeue, no main-thread help), so the deques close right here: each
+  /// worker's job returns as soon as its queued chunks are done, and the
+  /// final join is normally a single read of a counter already at 0.
   void launchChunks(WorkerSession &S, unsigned ActiveChunks) {
     const unsigned Lanes = S.lanes();
     for (unsigned C = 1; C <= ActiveChunks; ++C)
       S.pushChunk(homeLane(C, Lanes), C);
+    if (!oversubscribed())
+      S.closeQueues();
     Launch.S = &S;
     Launch.ActiveChunks = ActiveChunks;
     S.launch([this](unsigned Lane) {
@@ -853,14 +870,16 @@ private:
     Stats.GrantedLanes += Session.lanes();
     // Oversubscription only changes behavior when there can be more
     // chunks than workers; an effective k of 1 must reproduce the
-    // paper's fixed chunk-per-thread schedule exactly.
-    const bool Oversubscribed = effectiveK() > 1;
+    // paper's fixed chunk-per-thread schedule exactly. Same answer as at
+    // launch: the controller only moves k after the join below.
+    const bool Oversubscribed = oversubscribed();
     const unsigned Lanes = Session.lanes();
     // If a Traits callable throws mid-invocation, the lanes must still be
     // joined before the handle returns them to the shared pool -- a
     // session destroyed with its job in flight would lease busy workers
     // to other loops. Squash the orphaned chunks and drain; idempotent
-    // on the normal path (queues already closed, wait a no-op).
+    // on the normal path (queues already closed, wait a no-op). At k=1
+    // the queues were closed at launch, so this only joins.
     struct SessionJoiner {
       SpiceLoop &L;
       WorkerSession &S;
@@ -882,18 +901,28 @@ private:
     // makes itself useful by draining pending chunks while it waits. A
     // helped chunk whose start is already validated (P == C) gets the
     // full budget; a still-speculative one is clamped so main can never
-    // be wedged inside a chunk only it could abort.
+    // be wedged inside a chunk only it could abort. Once nothing is
+    // pending -- only main pushes, so nothing will be -- C is queued on or
+    // running on a worker. Main spins, then parks, until C starts, and
+    // yield-spins from there to C's end: a running chunk ends within its
+    // own length, while waking a parked main after the chunk would add
+    // a full wake-up (about 50 us on a KVM guest) to every invocation. A
+    // wake-up on start overlaps the chunk's own execution instead.
     auto WaitForChunk = [&](unsigned C) {
-      while (!DoneFlags[C].load(std::memory_order_acquire)) {
-        uint32_t P;
-        if (Oversubscribed && Session.helpPopFront(P)) {
-          ++Stats.MainHelpedChunks;
-          executeChunk(P, Pred, ActiveChunks, /*Stolen=*/true,
-                       P == C ? Config.MaxSpecIterations
-                              : helpIterBudget());
-        } else {
-          std::this_thread::yield();
-        }
+      uint32_t P;
+      while (Oversubscribed &&
+             Progress[C].Value.load(std::memory_order_acquire) !=
+                 ChunkProgress::Done &&
+             Session.helpPopFront(P)) {
+        ++Stats.MainHelpedChunks;
+        executeChunk(P, Pred, ActiveChunks, /*Stolen=*/true,
+                     P == C ? Config.MaxSpecIterations : helpIterBudget());
+      }
+      auto Started = [](ChunkProgress S) { return S != ChunkProgress::Queued; };
+      ChunkProgress Now = detail::spinThenPark(Progress[C], Started);
+      while (Now != ChunkProgress::Done) {
+        std::this_thread::yield(); // Lets a preempted worker run on us.
+        Now = Progress[C].Value.load(std::memory_order_acquire);
       }
     };
 
@@ -946,7 +975,8 @@ private:
             RowValid[Row] = 0;
           specBuf(J).clear();
           Results[J].reset();
-          DoneFlags[J].store(false, std::memory_order_relaxed);
+          Progress[J].Value.store(ChunkProgress::Queued,
+                                  std::memory_order_relaxed);
           AbortFlags[J].store(false, std::memory_order_relaxed);
           // Front of the lane: J blocks the whole commit chain, so it
           // must run before any more-speculative pending chunk.
@@ -1115,6 +1145,11 @@ private:
     return MemoCursor(&Plan.PerThread[ChunkIdx]);
   }
 
+  /// True when the next launch runs more than one chunk per thread: the
+  /// deques stay open for recovery requeues and main-thread help, and
+  /// workers may steal. False reproduces the paper's schedule.
+  bool oversubscribed() const { return effectiveK() > 1; }
+
   /// Effective chunks per thread the next invocation plans for: the
   /// controller's pick under ChunkPolicy::Adaptive, the pinned k
   /// otherwise.
@@ -1188,7 +1223,8 @@ private:
         SVA(NumChunks > 1 ? NumChunks - 1 : 0), RowValid(SVA.size(), 0),
         Buffers(NumChunks),
         AbortFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
-        DoneFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
+        Progress(std::make_unique<detail::ParkWord<ChunkProgress>[]>(
+            NumChunks)),
         Results(NumChunks) {
     BufPtrs.reserve(Buffers.size());
     for (SpecWriteBuffer &B : Buffers)
@@ -1252,13 +1288,15 @@ private:
   /// in-flight invocation; empty whenever no invocation is bound.
   std::vector<std::pair<unsigned, SpecWriteBuffer *>> DrawnBufs;
   std::unique_ptr<std::atomic<bool>[]> AbortFlags;
-  std::unique_ptr<std::atomic<bool>[]> DoneFlags;
+  /// Per-chunk progress, written by whoever executes the chunk; the
+  /// resolving thread waits on it in WaitForChunk.
+  std::unique_ptr<detail::ParkWord<ChunkProgress>[]> Progress;
   std::vector<std::optional<ChunkResult>> Results;
   /// Launch context captured by reference from the worker lambda so the
   /// lambda closes over `this` alone (8 bytes -- fits std::function's
   /// small-buffer storage, so launching chunks never heap-allocates).
-  /// Written in launchChunks under the pool mutex taken by
-  /// WorkerSession::launch, which is what publishes it to the workers.
+  /// Written in launchChunks before WorkerSession::launch, whose bump of
+  /// each worker's mailbox publishes it to the workers.
   struct LaunchCtx {
     WorkerSession *S = nullptr;
     unsigned ActiveChunks = 0;
@@ -1267,7 +1305,7 @@ private:
   /// Reusable per-invocation scratch. Safe as members because at most
   /// one invocation is in flight per loop (InvokeInFlight): written by
   /// the driving thread in prepareParallel/resolveGranted before workers
-  /// start (ordered by the pool mutex in launch, and by onGrant's
+  /// start (ordered by the mailbox bump in launch, and by onGrant's
   /// mutex/CV for the submit path), read-only while chunks run.
   std::vector<LiveIn> PredArena;
   std::vector<uint64_t> WorkArena;

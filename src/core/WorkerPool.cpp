@@ -19,9 +19,32 @@
 #include <unordered_map>
 #include <utility>
 
+#if defined(__linux__)
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 using namespace spice;
 using namespace spice::core;
 using namespace spice::core::detail;
+
+//===----------------------------------------------------------------------===//
+// Park words
+//===----------------------------------------------------------------------===//
+
+#if defined(__linux__)
+// A lock-free std::atomic of 32 bits is laid out as the bare word, so its
+// address is the futex word.
+void spice::core::detail::futexWait(const void *Word, uint32_t Seen) {
+  syscall(SYS_futex, Word, FUTEX_WAIT_PRIVATE, Seen, nullptr, nullptr, 0);
+}
+
+void spice::core::detail::futexWakeAll(const void *Word) {
+  syscall(SYS_futex, Word, FUTEX_WAKE_PRIVATE, INT32_MAX, nullptr, nullptr,
+          0);
+}
+#endif
 
 //===----------------------------------------------------------------------===//
 // ChunkDeques
@@ -79,11 +102,8 @@ void ChunkDeques::reopen() {
 }
 
 void ChunkDeques::bumpEpoch() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Epoch.fetch_add(1, std::memory_order_release);
-  }
-  CV.notify_all();
+  Epoch.Value.fetch_add(1, std::memory_order_seq_cst);
+  wake(Epoch);
 }
 
 void ChunkDeques::push(unsigned LaneIdx, uint32_t Chunk) {
@@ -109,8 +129,10 @@ void ChunkDeques::pushFront(unsigned LaneIdx, uint32_t Chunk) {
 }
 
 void ChunkDeques::close() {
-  Closed.store(true, std::memory_order_release);
-  bumpEpoch();
+  // Closing twice (the normal-path close after a close at launch, or
+  // the unwind path's) wakes nobody new.
+  if (!Closed.exchange(true, std::memory_order_acq_rel))
+    bumpEpoch();
 }
 
 bool ChunkDeques::tryAcquire(unsigned LaneIdx, uint32_t &Chunk,
@@ -171,20 +193,16 @@ bool ChunkDeques::acquire(unsigned LaneIdx, uint32_t &Chunk, bool &Stolen) {
   for (;;) {
     // Sample the epoch, then read Closed, then scan: a push or close that
     // lands after the scan bumps the epoch past Seen, so the wait below
-    // can never sleep through it. Parking (rather than yield-spinning)
-    // matters during long resolutions -- e.g. ChunksPerThread == 1
-    // workers are done after one chunk while main may still run a full
-    // serial recovery.
-    uint64_t Seen = Epoch.load(std::memory_order_acquire);
+    // can never sleep through it. Parking (rather than spinning without
+    // bound) matters during long resolutions, e.g. while main runs a
+    // recovery chunk only it can push successors after.
+    uint32_t Seen = Epoch.Value.load(std::memory_order_acquire);
     bool IsClosed = Closed.load(std::memory_order_acquire);
     if (tryAcquire(LaneIdx, Chunk, Stolen))
       return true;
     if (IsClosed)
       return false;
-    std::unique_lock<std::mutex> Lock(Mutex);
-    CV.wait(Lock, [&] {
-      return Epoch.load(std::memory_order_relaxed) != Seen;
-    });
+    spinThenPark(Epoch, [Seen](uint32_t E) { return E != Seen; });
   }
 }
 
@@ -241,30 +259,21 @@ void WorkerSession::Recycler::operator()(WorkerSession *S) const {
 }
 
 void WorkerSession::launch(std::function<void(unsigned)> NewJob) {
-  {
-    std::lock_guard<std::mutex> Lock(Pool.Mutex);
-    assert(!InFlight && "re-entrant WorkerSession::launch without wait()");
-    if (InFlight)
-      reportFatalError("WorkerSession::launch called while a previous "
-                       "launch is still in flight; call wait() first");
-    InFlight = true;
-    Remaining = static_cast<unsigned>(Workers.size());
-    Job = std::move(NewJob);
-    for (unsigned L = 0; L != Workers.size(); ++L) {
-      WorkerPool::WorkerSlot &Slot = Pool.Slots[Workers[L]];
-      assert(!Slot.HasWork && "leased worker still has pending work");
-      Slot.HasWork = true;
-      Slot.Session = this;
-      Slot.Lane = L;
-    }
-  }
-  if (!Workers.empty())
-    Pool.WakeCV.notify_all();
+  // One client thread drives a session, so InFlight and Job need no
+  // lock; the lease makes the mailboxes of Workers ours alone.
+  assert(!InFlight && "re-entrant WorkerSession::launch without wait()");
+  if (InFlight)
+    reportFatalError("WorkerSession::launch called while a previous "
+                     "launch is still in flight; call wait() first");
+  InFlight = true;
+  Job = std::move(NewJob);
+  Remaining.Value.store(lanes(), std::memory_order_relaxed);
+  for (unsigned L = 0; L != Workers.size(); ++L)
+    Pool.post(Workers[L], this, L);
 }
 
 void WorkerSession::wait() {
-  std::unique_lock<std::mutex> Lock(Pool.Mutex);
-  Pool.DoneCV.wait(Lock, [this] { return Remaining == 0; });
+  spinThenPark(Remaining, [](uint32_t R) { return R == 0; });
   InFlight = false;
 }
 
@@ -304,9 +313,13 @@ WorkerPool::~WorkerPool() {
     std::lock_guard<std::mutex> Lock(Mutex);
     assert(FreeCount == Threads.size() &&
            "destroying a WorkerPool with sessions still leased");
-    ShuttingDown = true;
   }
-  WakeCV.notify_all();
+  ShuttingDown.store(true, std::memory_order_relaxed);
+  for (WorkerSlot &Slot : Slots) {
+    // The bump publishes the flag; the slot's job fields are left alone.
+    Slot.Seq.Value.fetch_add(1, std::memory_order_seq_cst);
+    wake(Slot.Seq);
+  }
   for (std::thread &T : Threads)
     T.join();
   // Workers are joined: the freelists can no longer be touched. Any
@@ -339,33 +352,33 @@ void WorkerPool::workerMain(unsigned Index) {
                        __FILE__, __LINE__);
     }
   }
+  WorkerSlot &Slot = Slots[Index];
+  uint32_t Seen = 0;
   for (;;) {
-    WorkerSession *Session;
-    unsigned Lane;
-    {
-      std::unique_lock<std::mutex> Lock(Mutex);
-      WakeCV.wait(Lock, [&] {
-        return ShuttingDown || Slots[Index].HasWork;
-      });
-      if (ShuttingDown)
-        return;
-      WorkerSlot &Slot = Slots[Index];
-      Slot.HasWork = false;
-      Session = Slot.Session;
-      Slot.Session = nullptr;
-      Lane = Slot.Lane;
-    }
-    // The job lives once in the session (or LegacyJob): written under
-    // the mutex we just held, and not rewritten until after wait(), so
-    // calling it here without a copy is ordered and race-free.
-    (Session ? Session->Job : LegacyJob)(Lane);
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      unsigned &Remaining = Session ? Session->Remaining : LegacyRemaining;
-      --Remaining;
-    }
-    DoneCV.notify_all();
+    Seen = spinThenPark(Slot.Seq, [Seen](uint32_t S) { return S != Seen; });
+    if (ShuttingDown.load(std::memory_order_relaxed))
+      return;
+    // The acquire of Seq orders the poster's writes -- the slot, the
+    // session's job and Remaining -- before these reads. The job is not
+    // rewritten until after wait(), so calling it without a copy is
+    // race-free.
+    WorkerSession *Session = Slot.Session;
+    detail::ParkWord<uint32_t> &Remaining =
+        Session ? Session->Remaining : LegacyRemaining;
+    (Session ? Session->Job : LegacyJob)(Slot.Lane);
+    // Sessions are recycled, never freed while the pool lives, so a
+    // wake that lands after wait() has already seen 0 is safe.
+    if (Remaining.Value.fetch_sub(1, std::memory_order_seq_cst) == 1)
+      wake(Remaining);
   }
+}
+
+void WorkerPool::post(unsigned Worker, WorkerSession *S, unsigned Lane) {
+  WorkerSlot &Slot = Slots[Worker];
+  Slot.Session = S;
+  Slot.Lane = Lane;
+  Slot.Seq.Value.fetch_add(1, std::memory_order_seq_cst);
+  wake(Slot.Seq);
 }
 
 WorkerPool::SessionHandle WorkerPool::acquireSession(unsigned MaxLanes,
@@ -672,36 +685,34 @@ void WorkerPool::launch(unsigned Count, std::function<void(unsigned)> Job) {
   if (Count > Threads.size())
     reportFatalError("WorkerPool::launch count exceeds the pool size");
   {
+    // The mutex only orders the no-mixing checks against leasing; the
+    // wake-up itself is the same lock-free post a session uses.
     std::lock_guard<std::mutex> Lock(Mutex);
     assert(!LegacyInFlight && "re-entrant WorkerPool::launch without wait()");
     if (LegacyInFlight)
       reportFatalError("WorkerPool::launch called while a previous launch "
                        "is still in flight; call wait() first");
-    LegacyInFlight = true;
-    LegacyRemaining = Count;
-    LegacyJob = std::move(Job);
     for (unsigned I = 0; I != Count; ++I) {
-      WorkerSlot &Slot = Slots[I];
       // The legacy API may not be mixed with concurrent sessions: it
       // would overwrite a leased worker's mailbox and wedge the session.
-      assert(!Slot.Leased && !Slot.HasWork &&
+      assert(!Slots[I].Leased &&
              "WorkerPool::launch on a worker leased to a session");
-      if (Slot.Leased || Slot.HasWork)
+      if (Slots[I].Leased)
         reportFatalError("WorkerPool::launch called while workers are "
                          "leased to a session; legacy launches may not "
                          "be mixed with concurrent sessions");
-      Slot.HasWork = true;
-      Slot.Session = nullptr;
-      Slot.Lane = I; // Legacy jobs receive the worker index.
     }
+    LegacyInFlight = true;
   }
-  if (Count > 0)
-    WakeCV.notify_all();
+  LegacyJob = std::move(Job);
+  LegacyRemaining.Value.store(Count, std::memory_order_relaxed);
+  for (unsigned I = 0; I != Count; ++I)
+    post(I, nullptr, I); // Legacy jobs receive the worker index.
 }
 
 void WorkerPool::wait() {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  DoneCV.wait(Lock, [this] { return LegacyRemaining == 0; });
+  spinThenPark(LegacyRemaining, [](uint32_t R) { return R == 0; });
+  std::lock_guard<std::mutex> Lock(Mutex);
   LegacyInFlight = false;
 }
 

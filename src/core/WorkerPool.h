@@ -7,9 +7,12 @@
 /// \file
 /// The paper pre-allocates threads to cores at program entry and wakes them
 /// with a new_invocation token per loop invocation, avoiding per-invocation
-/// spawn cost. WorkerPool reproduces that: N persistent threads parked on a
-/// condition variable. One pool is shared by every loop of a SpiceRuntime,
-/// so an invocation no longer owns the threads -- it *leases* them:
+/// spawn cost. WorkerPool reproduces that: N persistent threads, each
+/// waiting on its own cache-line-aligned mailbox. A launch writes the job
+/// slot and bumps that worker's sequence number -- a per-worker token, no
+/// pool lock, no broadcast. One pool is shared by every loop of a
+/// SpiceRuntime, so an invocation no longer owns the threads -- it
+/// *leases* them:
 ///
 ///   WorkerPool::SessionHandle S = Pool.acquireSession(MaxLanes, Stealing);
 ///   for (...) S->pushChunk(Lane, Chunk);
@@ -21,18 +24,30 @@
 /// acquireSession() partitions the free workers: it hands out up to
 /// MaxLanes of them (blocking only while none are free), so concurrent
 /// invocations -- of different loops, from different client threads --
-/// split the pool instead of serializing on it. Each session owns its own
-/// chunk deques (one lane per leased worker): a worker pops its own lane
-/// from the front (oldest, least speculative chunk first) and, when its
-/// lane is empty, steals from the back of the session's other lanes (the
-/// most speculative chunk, leaving earlier chunks to their owner). The
-/// producer (the client thread that acquired the session) may keep pushing
-/// chunks -- e.g. recovery chunks after a mis-speculation -- until it calls
+/// split the pool instead of serializing on it. The pool mutex guards
+/// only that leasing and the release; launch, chunk hand-off and join
+/// never take it. Each session owns its own chunk deques (one lane per
+/// leased worker): a worker pops its own lane from the front (oldest,
+/// least speculative chunk first) and, when its lane is empty, steals
+/// from the back of the session's other lanes (the most speculative
+/// chunk, leaving earlier chunks to their owner). The producer (the
+/// client thread that acquired the session) may keep pushing chunks --
+/// e.g. recovery chunks after a mis-speculation -- until it calls
 /// closeQueues(), and may itself drain pending chunks front-first via
-/// helpPopFront(). The deques are mutex-guarded: chunks are coarse units
-/// of loop work, so queue transfer cost is irrelevant next to chunk
-/// execution and the simple locking keeps the protocol easy to reason
-/// about (and TSan-clean).
+/// helpPopFront(). Closing the deques before launch() makes every
+/// worker's job return as soon as the queued chunks are done, so wait()
+/// usually finds the join already complete. The deque lanes are
+/// mutex-guarded: chunks are coarse units of loop work, so queue
+/// transfer cost is irrelevant next to chunk execution and the simple
+/// locking keeps the protocol easy to reason about (and TSan-clean).
+///
+/// Every wait on the invocation path -- a worker waiting for its next
+/// launch, an acquirer waiting for a chunk, the session's client waiting
+/// for a chunk to start or for the join -- goes through
+/// detail::spinThenPark: a short bounded spin on one 32-bit word
+/// (detail::ParkWord), then a futex park on it, woken by the writer's
+/// detail::wake. Nothing on those paths uses a condition variable or the
+/// pool mutex.
 ///
 /// When the pool is built with a multi-node topology::Placement
 /// (docs/topology.md), locality shapes all of this: leases take
@@ -57,6 +72,7 @@
 #include "topology/Placement.h"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <condition_variable>
 #include <cstdint>
@@ -75,6 +91,91 @@ class SpecWriteBuffer;
 class WorkerPool;
 
 namespace detail {
+
+/// Spin iterations a waiter spends polling before it parks: one pause
+/// each, about 20 ns on current x86 cores, so roughly 10 us. Sized on a
+/// 4-vCPU KVM guest with the mixed_serving benchmark (~100 us
+/// invocations): 512 cut the median latency about as much as 256 or 768
+/// without raising CPU time per invocation; 1024 and more bought a few
+/// more us of latency for 7-15% more CPU, spent by workers idling
+/// between a client's calls.
+inline constexpr unsigned SpinBeforePark = 512;
+
+/// One spin-wait step: a pause hint where the ISA has one.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// A 32-bit word threads park on (spinThenPark) and are woken from
+/// (wake). A writer changes Value with a seq_cst operation, then calls
+/// wake(). Parked counts the threads inside park(), so waking a word
+/// nobody parked on is one load, not a system call.
+///
+/// On Linux the park is a bare futex wait. libstdc++'s std::atomic::wait
+/// first spins with sched_yield, and a thread that yields on a busy host
+/// goes to the back of the run queue instead of sleeping: woken workers
+/// then started so late that the resolving thread ran whole invocations
+/// alone. Elsewhere std::atomic::wait is the fallback.
+template <typename T> struct ParkWord {
+  static_assert(sizeof(T) == 4 && std::atomic<T>::is_always_lock_free,
+                "a futex word is a lock-free 32-bit atomic");
+  std::atomic<T> Value{};
+  std::atomic<uint32_t> Parked{0};
+};
+
+#if defined(__linux__)
+/// The futex calls behind park/wake (WorkerPool.cpp): sleep while the
+/// 32-bit word at \p Word holds \p Seen, and wake all its sleepers.
+void futexWait(const void *Word, uint32_t Seen);
+void futexWakeAll(const void *Word);
+#endif
+
+/// Blocks while \p W still holds \p Seen; may return spuriously.
+template <typename T> void park(ParkWord<T> &W, T Seen) {
+  W.Parked.fetch_add(1, std::memory_order_seq_cst);
+  if (W.Value.load(std::memory_order_seq_cst) == Seen) {
+#if defined(__linux__)
+    futexWait(&W.Value, std::bit_cast<uint32_t>(Seen));
+#else
+    W.Value.wait(Seen, std::memory_order_seq_cst);
+#endif
+  }
+  W.Parked.fetch_sub(1, std::memory_order_relaxed);
+}
+
+/// Wakes every thread parked on \p W. Call after the seq_cst write that
+/// changed W.Value: the two seq_cst halves (the write then the Parked
+/// load here, the Parked increment then the Value load in park) cannot
+/// both miss each other, so no wake-up is lost.
+template <typename T> void wake(ParkWord<T> &W) {
+  if (W.Parked.load(std::memory_order_seq_cst) == 0)
+    return;
+#if defined(__linux__)
+  futexWakeAll(&W.Value);
+#else
+  W.Value.notify_all();
+#endif
+}
+
+/// The runtime's single wait mechanism: returns the first value of \p W
+/// (acquire load) that \p Ready accepts, polling it SpinBeforePark times
+/// before parking.
+template <typename T, typename Pred>
+T spinThenPark(ParkWord<T> &W, Pred Ready) {
+  T V = W.Value.load(std::memory_order_acquire);
+  for (unsigned Spins = 0; !Ready(V); ++Spins) {
+    if (Spins < SpinBeforePark)
+      cpuRelax();
+    else
+      park(W, V);
+    V = W.Value.load(std::memory_order_acquire);
+  }
+  return V;
+}
 
 /// A set of per-lane chunk deques with optional back-stealing. One
 /// instance per session (and one pool-level instance for the legacy
@@ -115,10 +216,10 @@ public:
   void pushFront(unsigned Lane, uint32_t Chunk);
 
   /// Declares that no further chunks will be pushed; blocked acquirers
-  /// drain the remaining chunks and then return false.
+  /// drain the remaining chunks and then return false. Idempotent.
   void close();
 
-  /// Worker-side acquire: blocks (parked on a condition variable) until a
+  /// Worker-side acquire: blocks (spinThenPark on the epoch) until a
   /// chunk is available or the deques are closed and fully drained. Pops
   /// the front of \p Lane's own deque first; otherwise steals from the
   /// back of another lane and sets \p Stolen. Returns false only on
@@ -151,11 +252,11 @@ private:
   std::vector<std::unique_ptr<Lane>> Lanes;
   bool Stealing = true;
   std::atomic<bool> Closed{true};
-  /// Wakes parked acquirers. Epoch bumps on every push/close; an acquirer
-  /// samples it before scanning so a concurrent push can never be missed.
-  std::mutex Mutex;
-  std::condition_variable CV;
-  std::atomic<uint64_t> Epoch{0};
+  /// What parked acquirers wait on. Epoch bumps (and wakes) on every
+  /// push/close; an acquirer samples it before scanning so a concurrent
+  /// push can never be missed. It only needs to differ from the sample,
+  /// so wrap-around is harmless.
+  ParkWord<uint32_t> Epoch;
 
   /// Locality state (setLocality). The vectors keep their capacity
   /// across reset() so a recycled session's lease re-fills them without
@@ -203,11 +304,13 @@ public:
   unsigned laneNode(unsigned Lane) const;
 
   /// Wakes the leased workers to run Job(LaneIndex), LaneIndex in
-  /// [0, lanes()). The client thread does not participate and may execute
-  /// its own chunk concurrently. Must be paired with wait().
+  /// [0, lanes()): one mailbox post per leased worker, no pool mutex.
+  /// The client thread does not participate and may execute its own
+  /// chunk concurrently. Must be paired with wait().
   void launch(std::function<void(unsigned)> Job);
 
-  /// Blocks until every leased worker has finished the launched job.
+  /// Blocks until every leased worker has finished the launched job
+  /// (spinThenPark on the remaining-worker count).
   void wait();
 
   /// This session's chunk deques (see ChunkDeques; one lane per leased
@@ -244,12 +347,14 @@ private:
   std::thread::id Owner;         ///< Thread that acquired the lease.
   detail::ChunkDeques Deques;
   /// The launched job, stored once per session (not copied per slot).
-  /// Written by launch() under the pool mutex; stable until the next
-  /// launch, which the protocol orders after wait() -- so workers call
-  /// it concurrently without copying.
+  /// Written by launch() before the mailbox posts that publish it;
+  /// stable until the next launch, which the protocol orders after
+  /// wait() -- so workers call it concurrently without copying.
   std::function<void(unsigned)> Job;
-  bool InFlight = false;  ///< launch() issued, wait() not yet returned.
-  unsigned Remaining = 0; ///< Workers still running the job (pool mutex).
+  bool InFlight = false; ///< launch() issued, wait() not yet returned.
+  /// Workers still running the job. The worker whose decrement reaches
+  /// 0 wakes it; wait() spins, then parks on it.
+  detail::ParkWord<uint32_t> Remaining;
 };
 
 /// Session-freelist counters, read via WorkerPool::sessionPoolStats().
@@ -457,6 +562,12 @@ private:
   std::pair<unsigned, unsigned> chooseStartNodeLocked(unsigned Take,
                                                       int Preferred) const;
 
+  /// Hands worker \p Worker the job of \p S (null: LegacyJob) on lane
+  /// \p Lane and wakes it: the slot writes, then a seq_cst bump of the
+  /// worker's sequence number and a wake on it. Lock-free; the
+  /// caller owns the worker (a lease, or the legacy no-session rule).
+  void post(unsigned Worker, WorkerSession *S, unsigned Lane);
+
   /// Leases \p Take free workers into \p S on behalf of \p Owner.
   /// Requires the pool mutex and Take <= FreeCount. \p StartNode (-1
   /// without locality) is where the node-contiguous scan begins;
@@ -465,14 +576,17 @@ private:
   void leaseLocked(WorkerSession &S, unsigned Take, std::thread::id Owner,
                    int StartNode);
 
-  /// Per-worker mailbox (guarded by Mutex). A worker runs at most one
-  /// job at a time: Session is null for legacy launches, and the job
-  /// itself lives once in the session (or in LegacyJob).
-  struct WorkerSlot {
-    bool HasWork = false;
+  /// Per-worker mailbox, one cache line each so a post to one worker
+  /// never touches another's line. The worker waits (spinThenPark) for
+  /// Seq to move past the last value it consumed; post() writes Session
+  /// and Lane first and publishes them with the bump. A worker runs at
+  /// most one job at a time: Session is null for legacy launches, and
+  /// the job itself lives once in the session (or in LegacyJob).
+  struct alignas(64) WorkerSlot {
+    detail::ParkWord<uint32_t> Seq;
     WorkerSession *Session = nullptr;
     unsigned Lane = 0;
-    bool Leased = false;
+    bool Leased = false; ///< Guarded by the pool mutex.
   };
 
   /// One node's warm-buffer freelist (multi-node placement only). Own
@@ -491,9 +605,9 @@ private:
   /// session exists; read under the pool mutex, invoked outside it.
   std::function<void()> ReleaseHook;
 
+  /// Guards leasing and release (Leased, FreeCount, the freelists); the
+  /// launch, chunk and join paths never take it.
   mutable std::mutex Mutex;
-  std::condition_variable WakeCV;  ///< Workers park here.
-  std::condition_variable DoneCV;  ///< wait() callers park here.
   std::condition_variable LeaseCV; ///< acquireSession() callers park here.
   std::vector<WorkerSlot> Slots;
   unsigned FreeCount = 0;
@@ -506,9 +620,10 @@ private:
   /// Legacy launches' job; same single-storage discipline as
   /// WorkerSession::Job.
   std::function<void(unsigned)> LegacyJob;
-  unsigned LegacyRemaining = 0;
-  bool LegacyInFlight = false;
-  bool ShuttingDown = false;
+  detail::ParkWord<uint32_t> LegacyRemaining;
+  bool LegacyInFlight = false; ///< Guarded by Mutex.
+  /// Set by the destructor before it posts every worker a final wake.
+  std::atomic<bool> ShuttingDown{false};
   /// Released sessions parked for reuse, sharded by the node of the
   /// session's first worker -- one shard without locality (guarded by
   /// Mutex; deleted in the pool destructor). Reusing a session reuses

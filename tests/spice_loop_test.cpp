@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/LoopBuilder.h"
 #include "core/SpiceLoop.h"
 #include "core/SpiceRuntime.h"
 #include "workloads/Ks.h"
@@ -554,4 +555,58 @@ TEST(SjengSpice, AttributeChurnCausesModerateMisspeculation) {
   // the rate should be visible but far below 100%.
   EXPECT_GT(S.MisspeculatedInvocations, 5u);
   EXPECT_LT(S.MisspeculatedInvocations, 60u);
+}
+
+//===----------------------------------------------------------------------===//
+// The paper's schedule (k = 1): counters pinned to recorded values
+//===----------------------------------------------------------------------===//
+
+TEST(PaperSchedule, K1StatsMatchRecordedValues) {
+  // A counting loop whose trip count only grows or holds between
+  // invocations: growth lengthens the last chunk and re-plans the
+  // boundaries, a held count keeps every prediction. Nothing is
+  // squashed, so at k = 1 every counter below is a function of the
+  // inputs alone (a squashed chunk's progress, and the rows it leaves
+  // behind, depend on when it sees its abort flag). A change to
+  // dispatch, wake-up or join must reproduce these values exactly.
+  SpiceRuntime RT(/*NumThreads=*/4);
+  int64_t End = 0;
+  auto Loop = LoopBuilder<int64_t, uint64_t>()
+                  .step([&End](int64_t &I, uint64_t &S, SpecSpace &) {
+                    if (I >= End)
+                      return false;
+                    S += static_cast<uint64_t>(I);
+                    ++I;
+                    return true;
+                  })
+                  .combine([](uint64_t &Into, uint64_t &&Chunk) {
+                    Into += Chunk;
+                  })
+                  .build(RT);
+  const int64_t Ends[] = {4096, 4096, 4096, 5000, 5000, 6000,
+                          8000, 8000, 8001, 12000, 12000, 12000};
+  for (int64_t E : Ends) {
+    End = E;
+    ASSERT_EQ(Loop.invoke(0), static_cast<uint64_t>(E) * (E - 1) / 2);
+  }
+  const SpiceStats &S = Loop.stats();
+  EXPECT_EQ(S.Invocations, 12u);
+  EXPECT_EQ(S.SequentialInvocations, 1u);
+  EXPECT_EQ(S.MisspeculatedInvocations, 0u);
+  EXPECT_EQ(S.FullySpeculativeInvocations, 11u);
+  EXPECT_EQ(S.TotalIterations, 88289u);
+  EXPECT_EQ(S.SquashedThreads, 0u);
+  EXPECT_EQ(S.LaunchedSpecThreads, 33u);
+  EXPECT_EQ(S.ConflictSquashes, 0u);
+  EXPECT_EQ(S.RecoveryIterations, 0u);
+  EXPECT_EQ(S.WastedIterations, 0u);
+  EXPECT_EQ(S.StolenChunks, 0u);
+  EXPECT_EQ(S.MainHelpedChunks, 0u);
+  EXPECT_EQ(S.RecoveryChunks, 0u);
+  EXPECT_EQ(S.GrantedLanes, 33u);
+  EXPECT_EQ(S.QueuedMicros, 0u);
+  EXPECT_DOUBLE_EQ(S.ImbalanceSum, 15.541326059242595);
+  EXPECT_EQ(S.ImbalanceSamples, 11u);
+  EXPECT_DOUBLE_EQ(S.ChunkImbalanceSum, 15.541326059242595);
+  EXPECT_EQ(S.ChunkImbalanceSamples, 11u);
 }

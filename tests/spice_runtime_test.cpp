@@ -15,6 +15,8 @@
 #include "core/LoopBuilder.h"
 #include "core/SpiceLoop.h"
 #include "core/SpiceRuntime.h"
+#include "topology/Placement.h"
+#include "topology/Topology.h"
 #include "workloads/Mcf.h"
 #include "workloads/Otter.h"
 
@@ -420,6 +422,92 @@ TEST(SpiceRuntime, OversubscribedRuntimeLoopMatchesLegacyStats) {
   EXPECT_EQ(A.FullySpeculativeInvocations, B.FullySpeculativeInvocations);
   EXPECT_EQ(A.TotalIterations, B.TotalIterations);
   EXPECT_EQ(A.LaunchedSpecThreads, B.LaunchedSpecThreads);
+}
+
+//===----------------------------------------------------------------------===//
+// Exit at chunk end: at k = 1 the deques close at launch
+//===----------------------------------------------------------------------===//
+
+TEST(ExitAtChunkEnd, BatchOnOneLeaseReopensAndRelaunches) {
+  // Every element after the first reopens the deques that the previous
+  // launch closed, and re-launches the same leased lanes.
+  SpiceRuntime RT(/*NumThreads=*/4);
+  OtterTraits Traits;
+  auto Loop = RT.makeLoop(Traits); // Default LoopOptions: k = 1.
+  ClauseList List(600, 5);
+  Clause *Want = List.findLightestReference();
+  EXPECT_EQ(Loop.invoke(List.head()).MinClause, Want); // Bootstrap.
+  const SpiceStats Before = Loop.stats();
+
+  std::vector<Clause *> Starts(12, List.head());
+  SpiceBatchFuture<OtterTraits::State> F = Loop.submitBatch(Starts);
+  std::vector<OtterTraits::State> Out = F.take();
+  ASSERT_EQ(Out.size(), 12u);
+  for (const OtterTraits::State &S : Out)
+    EXPECT_EQ(S.MinClause, Want);
+
+  const SpiceStats &After = Loop.stats();
+  EXPECT_EQ(After.Invocations - Before.Invocations, 12u);
+  EXPECT_EQ(After.FullySpeculativeInvocations -
+                Before.FullySpeculativeInvocations,
+            12u);
+  EXPECT_EQ(After.GrantedLanes - Before.GrantedLanes, 12u * 3u)
+      << "every element re-launches the three leased lanes";
+  EXPECT_EQ(RT.schedulerStats().Submitted, 1u);
+  EXPECT_EQ(RT.pool().sessionPoolStats().SessionsCreated, 1u);
+  EXPECT_EQ(RT.pool().freeWorkers(), 3u);
+}
+
+TEST(ExitAtChunkEnd, ThrowingStepJoinsBeforeBuffersReturn) {
+  // Chunk 0 throws on the driving thread while the workers are still
+  // writing into node-drawn SpecWriteBuffers. The unwind must join them
+  // before the buffers go back to their shards (TSan reports a write
+  // racing the shard's clear otherwise), and release the lanes.
+  RuntimeConfig C;
+  C.NumThreads = 5;
+  C.Topology = topology::PlacementConfig::overrideWith(
+      topology::Topology::fromNodeSizes({2, 2}));
+  SpiceRuntime RT(C);
+  ASSERT_TRUE(RT.pool().hasBufferShards());
+
+  constexpr int64_t N = 1 << 14;
+  std::vector<int64_t> Cells(N, 0);
+  const std::thread::id MainId = std::this_thread::get_id();
+  bool Armed = false;
+  auto Sum = LoopBuilder<int64_t, uint64_t>()
+                 .step([&](int64_t &I, uint64_t &S, SpecSpace &Mem) {
+                   if (I >= N)
+                     return false;
+                   if (Armed && I == N / 8 &&
+                       std::this_thread::get_id() == MainId)
+                     throw std::runtime_error("client bug");
+                   Mem.write(&Cells[I], I);
+                   S += static_cast<uint64_t>(I);
+                   ++I;
+                   return true;
+                 })
+                 .combine([](uint64_t &Into, uint64_t &&Chunk) {
+                   Into += Chunk;
+                 })
+                 .build(RT);
+
+  const uint64_t Want = static_cast<uint64_t>(N) * (N - 1) / 2;
+  EXPECT_EQ(Sum.invoke(0), Want); // Bootstrap (sequential).
+  Armed = true;
+  SpiceFuture<uint64_t> F = Sum.submit(0);
+  EXPECT_THROW(F.get(), std::runtime_error);
+  EXPECT_EQ(RT.pool().freeWorkers(), 4u);
+  const NodeBufferPoolStats AfterThrow = RT.pool().nodeBufferStats();
+  EXPECT_GT(AfterThrow.BuffersCreated, 0u);
+
+  Armed = false;
+  EXPECT_EQ(Sum.invoke(0), Want);
+  for (int64_t I = 0; I != N; ++I)
+    ASSERT_EQ(Cells[I], I);
+  const NodeBufferPoolStats Next = RT.pool().nodeBufferStats();
+  EXPECT_EQ(Next.BuffersCreated, AfterThrow.BuffersCreated)
+      << "the unwound invocation returned every buffer it drew";
+  EXPECT_GT(Next.BufferPoolHits, AfterThrow.BufferPoolHits);
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -225,4 +227,137 @@ TEST(WorkerPoolQueues, OversubscribedDrainExecutesEveryChunkOnce) {
   for (auto &H : Hits)
     EXPECT_EQ(H.load(), 1);
   EXPECT_EQ(Pool.pendingChunks(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Mailbox wake-ups and the lock-free join
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A random pause of 0-60 us: sometimes none (the worker is still
+/// spinning when the next post lands), sometimes past the spin budget
+/// (it has parked in the kernel).
+void jitter(std::mt19937 &Rng) {
+  switch (Rng() % 4) {
+  case 0:
+    return;
+  case 1:
+    std::this_thread::yield();
+    return;
+  default:
+    std::this_thread::sleep_for(std::chrono::microseconds(Rng() % 60));
+  }
+}
+
+} // namespace
+
+TEST(WorkerPoolWake, NoLostWakeupsUnderConcurrentSessions) {
+  // Three clients lease, launch and join on one pool thousands of times,
+  // pausing at random around launch() so posts race both spinning and
+  // parked workers and joins race the last worker's decrement. A lost
+  // wake-up hangs the test; a lost or doubled job breaks the counts.
+  constexpr unsigned Clients = 3, Rounds = 1500;
+  WorkerPool Pool(4);
+  std::atomic<uint64_t> Executed{0}, Expected{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != Clients; ++T)
+    Threads.emplace_back([&, T] {
+      std::mt19937 Rng(1234 + T);
+      for (unsigned R = 0; R != Rounds; ++R) {
+        WorkerPool::SessionHandle S =
+            Pool.acquireSession(1 + Rng() % 2, /*AllowStealing=*/R % 2 == 0);
+        const uint32_t Chunks = 1 + Rng() % 4;
+        for (uint32_t C = 0; C != Chunks; ++C)
+          S->pushChunk(C % S->lanes(), C);
+        // Half the rounds close before launch (jobs end with their
+        // chunks), half after (workers may park in acquireChunk).
+        const bool CloseFirst = Rng() % 2;
+        if (CloseFirst)
+          S->closeQueues();
+        jitter(Rng);
+        S->launch([&Sess = *S, &Executed](unsigned Lane) {
+          uint32_t C;
+          bool Stolen;
+          while (Sess.acquireChunk(Lane, C, Stolen))
+            Executed.fetch_add(1, std::memory_order_relaxed);
+        });
+        jitter(Rng);
+        if (!CloseFirst)
+          S->closeQueues();
+        S->wait();
+        Expected.fetch_add(Chunks, std::memory_order_relaxed);
+        ASSERT_EQ(S->pendingChunks(), 0u);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Executed.load(), Expected.load());
+  EXPECT_EQ(Pool.freeWorkers(), 4u);
+}
+
+TEST(WorkerPoolWake, DestructionWhileWorkersAreParked) {
+  for (int I = 0; I != 5; ++I) {
+    WorkerPool Pool(3);
+    std::atomic<int> N{0};
+    {
+      WorkerPool::SessionHandle S = Pool.acquireSession(3, true);
+      S->closeQueues();
+      S->launch([&](unsigned) { N.fetch_add(1); });
+      S->wait();
+    }
+    // Far past the spin budget: every worker is parked in
+    // the kernel when the destructor posts the shutdown.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(N.load(), 3);
+  }
+}
+
+TEST(WorkerPoolWake, DestructionWhileWorkersAreStillSpinning) {
+  // No pause after the join: the workers have just decremented the
+  // join counter and are still in their spin phase (or about to enter
+  // it) when the shutdown post lands.
+  for (int I = 0; I != 50; ++I) {
+    WorkerPool Pool(3);
+    std::atomic<int> N{0};
+    Pool.launch(3, [&](unsigned) { N.fetch_add(1); });
+    Pool.wait();
+    EXPECT_EQ(N.load(), 3);
+  }
+  for (int I = 0; I != 50; ++I) {
+    WorkerPool Pool(2); // Never launched: shut down from the first spin.
+  }
+}
+
+TEST(WorkerPoolWake, QueuesClosedBeforeLaunchEndEveryJob) {
+  // The k = 1 schedule: chunks queued and the deques closed before
+  // launch, stealing off, some lanes empty. Every worker's job must
+  // return by itself -- no closeQueues() after launch -- and wait() must
+  // return. Then reopen and re-launch the same lease, as batch elements
+  // do.
+  WorkerPool Pool(4);
+  WorkerPool::SessionHandle S =
+      Pool.acquireSession(4, /*AllowStealing=*/false);
+  ASSERT_EQ(S->lanes(), 4u);
+  for (int Round = 0; Round != 20; ++Round) {
+    if (Round)
+      S->reopenQueues();
+    const uint32_t Chunks = 1 + Round % 4; // Lanes >= Chunks stay empty.
+    for (uint32_t C = 0; C != Chunks; ++C)
+      S->pushChunk(C, C);
+    S->closeQueues();
+    std::atomic<unsigned> Returned{0}, Ran{0};
+    S->launch([&](unsigned Lane) {
+      uint32_t C;
+      bool Stolen;
+      while (S->acquireChunk(Lane, C, Stolen)) {
+        EXPECT_EQ(C, Lane) << "stealing is off";
+        Ran.fetch_add(1);
+      }
+      Returned.fetch_add(1);
+    });
+    S->wait();
+    EXPECT_EQ(Returned.load(), 4u) << "every job returned on its own";
+    EXPECT_EQ(Ran.load(), Chunks);
+  }
 }
