@@ -21,10 +21,11 @@
 //  3. Conflict structure and recovery policy on the post-paper workload
 //     families (docs/workloads.md): where SSSP conflicts land depends
 //     on the graph shape (grid wavefronts vs R-MAT hubs), and the
-//     structurally conflict-prone packet pipeline sweeps
-//     ChunksPerThread to measure what each recovery policy re-executes
-//     -- evidence for the ROADMAP's adaptive-ChunksPerThread item
-//     (counter-dense loops want coarse chunks).
+//     packet pipeline sweeps ChunksPerThread to measure what each
+//     recovery policy re-executes. Its flow counters are commutative
+//     SpecSpace::add updates and never conflict; what remains are the
+//     SYN/FIN state changes a predecessor chunk makes under a later
+//     chunk.
 //
 //  4. ChunkPolicy::Adaptive vs every static k on six kernels that
 //     disagree about the best granularity; the adaptive controller must
@@ -260,15 +261,17 @@ ConflictPoint runSsspConflicts(SpiceRuntime &RT, CsrGraph G, int Rounds) {
   return ConflictPoint::fromStats(Loop.stats(), Correct);
 }
 
-/// The packet pipeline is *structurally* conflict-prone: whatever flow
-/// is active where a chunk boundary lands has packets on both sides, so
-/// nearly every speculative chunk fails validation about once per
-/// invocation no matter how the trace dials are set. What the recovery
-/// policy controls is how much work each failure costs: the paper's
-/// serial recovery (ChunksPerThread=1) re-executes the whole remainder
-/// of the trace, while the oversubscribed requeue recovery re-executes
-/// one chunk and lets validated successors stand. This sweep measures
-/// that directly as RecoveryIterations / TotalIterations.
+/// The packet pipeline's flow counters are commutative adds (buffered
+/// deltas, never validated), so a flow active on both sides of a chunk
+/// boundary no longer fails validation. Conflicts remain where a
+/// predecessor chunk moves a flow's SYN/FIN state that a later chunk
+/// already read: frequent while a fresh table's flows open and close,
+/// rare once they settle. What the recovery policy controls is how much
+/// work each failure costs: the paper's serial recovery
+/// (ChunksPerThread=1) re-executes the whole remainder of the trace,
+/// while the oversubscribed requeue recovery re-executes one chunk and
+/// lets validated successors stand. This sweep measures that directly
+/// as RecoveryIterations / TotalIterations.
 ConflictPoint runPacketRecovery(SpiceRuntime &RT, unsigned ChunksPerThread,
                                 int Invocations, size_t TraceLen) {
   PacketPipeline Live(256, 64, TraceLen, 91);
@@ -691,16 +694,14 @@ int main() {
   std::printf("\nGraph shape sets where SSSP conflicts land (R-MAT: "
               "shared hubs in a few wide\nwaves; grid: adjacent "
               "wavefront vertices over many narrow waves). The packet\n"
-              "pipeline conflicts at nearly every chunk boundary "
-              "(whatever flow is active\nthere straddles it), so "
-              "finer chunks mean more -- individually cheaper,\n"
-              "concurrently redone -- failures: the recov-work column "
-              "(re-executed fraction\nof all iterations) GROWS with "
-              "chunks/thread while each failure's serial cost\nshrinks. "
-              "Counter-dense loops are the concrete case for the "
-              "ROADMAP's adaptive\nChunksPerThread item: this workload "
-              "wants coarse chunks, the hotspot sweep\nabove wants fine "
-              "ones.\n");
+              "pipeline's flow counters are commutative adds and never "
+              "conflict; its\nconflicts are SYN/FIN state changes a "
+              "predecessor chunk makes under a later\nchunk, frequent "
+              "only while a fresh flow table's connections open and "
+              "close.\nMore chunks give those changes more boundaries "
+              "to land on, so the conflicts\ncolumn grows with "
+              "chunks/thread while each failure's redone work "
+              "shrinks.\n");
 
   std::printf("\n=== Ablation: ChunkPolicy::Adaptive vs static k on six "
               "kernels ===\n\n");
@@ -807,12 +808,13 @@ int main() {
               100 * Tolerance, EveryKernelOk ? "yes" : "NO");
   std::printf("Scores are ChunkController::score over the last third of "
               "each run: the six\nkernels disagree about the best static "
-              "k (packets and mcf conflict at every\nextra boundary; the "
+              "k (mcf conflicts at every extra\nboundary; the "
               "refresh scan wants fine chunks because requeue recovery\n"
               "re-runs one chunk per conflicted reader while k=1 re-runs "
-              "the rest of the\ntrip sequentially; the pinned hotspot is "
-              "indifferent), so one feedback\ncontroller per loop beats "
-              "any one number in LoopOptions.\n");
+              "the rest of the\ntrip sequentially; the pinned hotspot "
+              "and the settled packet pipeline are\nindifferent), so one "
+              "feedback controller per loop beats any one number in\n"
+              "LoopOptions.\n");
   AllCorrect &= SweepCorrect;
 
   spice::benchutil::BenchJson Json("ablation_loadbalance");

@@ -8,9 +8,9 @@
 /// The online controller behind LoopOptions::ChunkPolicy::Adaptive: it
 /// replaces the static ChunksPerThread knob with a per-loop feedback
 /// loop over the counters the runtime already tracks. No single static k
-/// wins across workloads -- counter-dense loops (the packet pipeline)
-/// conflict at nearly every chunk boundary, so finer chunks *grow* the
-/// re-executed recovery work, while skewed or churning loops want finer
+/// wins across workloads -- loops that conflict at nearly every chunk
+/// boundary (mcf's stale potentials) re-execute *more* recovery work
+/// as chunks get finer, while skewed or churning loops want finer
 /// chunks so the work-stealing scheduler can smooth the imbalance the
 /// one-invocation-stale plan leaves behind (both measured in
 /// bench/ablation_loadbalance.cpp).
@@ -80,7 +80,7 @@ struct ChunkControllerConfig {
   /// tracked score instead: a k that got better needs no probe.
   double Drift = 0.30;
   /// Recovery fraction above which the re-probe direction is "coarser"
-  /// (counter-dense loops re-execute more at finer granularity).
+  /// (conflict-dense loops re-execute more at finer granularity).
   double RecoveryHigh = 0.05;
   /// Wasted (squashed-chunk) fraction above which the re-probe direction
   /// is likewise "coarser": churn-heavy list loops lose whole chunks to

@@ -29,6 +29,16 @@
 /// capacity across clear() so loops re-invoked millions of times stop
 /// paying malloc/rehash after warm-up (see capacity()/rehashes()).
 ///
+/// Commutative counter updates (add) buffer a *delta* instead of a value:
+/// they read no shared memory, so they log nothing to validate, and
+/// commit() applies current + delta. Two chunks that only bump the same
+/// counter therefore both commit. A later read of the counter in the
+/// same chunk turns the delta back into a validated value write.
+///
+/// A buffer that will never be validated (its loop runs without
+/// conflict detection) skips the read log altogether: setLogReads(false)
+/// leaves read() with only the own-write lookup.
+///
 /// Concurrent access discipline: locations that may be written by one
 /// thread while read speculatively by another are accessed through
 /// std::atomic_ref with relaxed ordering, which keeps the racy reads the
@@ -43,6 +53,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -55,6 +66,11 @@ namespace core {
 template <typename T>
 concept BufferableValue =
     std::is_trivially_copyable_v<T> && sizeof(T) <= sizeof(uint64_t);
+
+/// A value commutative adds apply to: a non-bool integer of 1-8 bytes.
+template <typename T>
+concept AddableValue =
+    BufferableValue<T> && std::integral<T> && !std::same_as<T, bool>;
 
 namespace detail {
 
@@ -132,91 +148,68 @@ public:
   /// Speculative load: own writes first, then shared memory (relaxed
   /// atomic), logging the observed value for commit-time validation.
   /// Only the *first* read of an address is logged; validation checks
-  /// the first-observed value.
+  /// the first-observed value. Without the read log (setLogReads(false))
+  /// a read inserts nothing: it probes for an own write and loads.
   template <BufferableValue T> T read(const T *Ptr) {
-    Entry &E = findOrInsert(const_cast<T *>(Ptr));
-    if (E.WriteIdx != NoIdx) {
+    void *Key = const_cast<T *>(Ptr);
+    Entry *E = LogReads ? &findOrInsert(Key) : probe(Key);
+    if (E->Gen == Gen && E->WriteIdx != NoIdx) {
+      Slot &S = WriteLog[E->WriteIdx];
+      if (S.Delta)
+        materialize(*E, S);
       T V;
-      std::memcpy(&V, &WriteLog[E.WriteIdx].Raw, sizeof(T));
+      std::memcpy(&V, &S.Raw, sizeof(T));
       return V;
     }
     T V = loadShared(Ptr);
-    recordRead(E, Ptr, V);
+    if (LogReads) {
+      uint64_t Raw = 0;
+      std::memcpy(&Raw, &V, sizeof(T));
+      logRead(*E, Ptr, Raw, sizeof(T));
+    }
     return V;
   }
 
-  /// Read-modify-write in one table probe: reads through the buffer (own
-  /// write first, logging the shared value for validation otherwise),
-  /// buffers Old + Delta, and returns Old. Not atomic across chunks --
-  /// cross-chunk counter races are exactly what commit-time read
-  /// validation catches.
-  template <BufferableValue T> T fetchAdd(T *Ptr, T Delta) {
-    Entry &E = findOrInsert(Ptr);
-    T Old;
-    if (E.WriteIdx != NoIdx)
-      std::memcpy(&Old, &WriteLog[E.WriteIdx].Raw, sizeof(T));
-    else {
-      Old = loadShared(Ptr);
-      recordRead(E, Ptr, Old);
-    }
-    T New = static_cast<T>(Old + Delta);
+  /// Commutative counter update: buffers Delta without reading shared
+  /// memory, so nothing is logged for validation and a concurrent
+  /// predecessor's update to the same counter cannot squash this chunk.
+  /// commit() stores current + delta, wrapping in the slot's width. An
+  /// add after a write or an add accumulates into the slot (wrapping);
+  /// a later write replaces the delta; a later read materializes it
+  /// (see read()).
+  template <AddableValue T> void add(T *Ptr, T Delta) {
     uint64_t Raw = 0;
-    std::memcpy(&Raw, &New, sizeof(T));
-    recordWrite(E, Ptr, Raw, sizeof(T));
-    return Old;
+    std::memcpy(&Raw, &Delta, sizeof(T));
+    Entry &E = findOrInsert(Ptr);
+    if (E.WriteIdx == NoIdx) {
+      E.WriteIdx = static_cast<uint32_t>(WriteLog.size());
+      WriteLog.push_back({Ptr, Raw, sizeof(T), /*Delta=*/true});
+      return;
+    }
+    Slot &S = WriteLog[E.WriteIdx];
+    S.Raw = wrapAdd(S.Raw, Raw, sizeof(T));
+    S.Size = sizeof(T);
   }
 
   /// Commit-time validation: true when every logged read still matches
   /// shared memory. Chunks commit in iteration order, so success implies
   /// the chunk's execution serializes after its predecessors.
   bool validateReads() const {
-    for (const LoggedRead &LR : ReadLog) {
-      uint64_t Now = 0;
-      switch (LR.Size) {
-      case 8:
-        Now = rawLoad<uint64_t>(LR.Addr);
-        break;
-      case 4:
-        Now = rawLoad<uint32_t>(LR.Addr);
-        break;
-      case 2:
-        Now = rawLoad<uint16_t>(LR.Addr);
-        break;
-      case 1:
-        Now = rawLoad<uint8_t>(LR.Addr);
-        break;
-      default: // Odd sizes: plain load, matching loadShared.
-        std::memcpy(&Now, LR.Addr, LR.Size);
-        break;
-      }
-      if (Now != LR.Raw)
+    for (const LoggedRead &LR : ReadLog)
+      if (loadRaw(LR.Addr, LR.Size) != LR.Raw)
         return false;
-    }
     return true;
   }
 
   /// Publishes buffered stores to shared memory (relaxed atomics) in
-  /// program order. The caller must have validated first.
+  /// program order; a delta slot stores current + delta. The caller must
+  /// have validated first.
   void commit() {
-    for (const Slot &S : WriteLog) {
-      switch (S.Size) {
-      case 8:
-        rawStore<uint64_t>(S.Addr, S.Raw);
-        break;
-      case 4:
-        rawStore<uint32_t>(S.Addr, S.Raw);
-        break;
-      case 2:
-        rawStore<uint16_t>(S.Addr, S.Raw);
-        break;
-      case 1:
-        rawStore<uint8_t>(S.Addr, S.Raw);
-        break;
-      default: // Odd sizes: plain store, matching storeShared.
-        std::memcpy(S.Addr, &S.Raw, S.Size);
-        break;
-      }
-    }
+    for (const Slot &S : WriteLog)
+      storeRaw(S.Addr,
+               S.Delta ? wrapAdd(loadRaw(S.Addr, S.Size), S.Raw, S.Size)
+                       : S.Raw,
+               S.Size);
     clear();
   }
 
@@ -236,6 +229,11 @@ public:
       Gen = 1;
     }
   }
+
+  /// Whether read() logs shared values for validateReads() (default on).
+  /// A loop sets it per buffer from its EnableConflictDetection: a loop
+  /// that never validates has no use for the log.
+  void setLogReads(bool On) { LogReads = On; }
 
   bool empty() const { return WriteLog.empty() && ReadLog.empty(); }
   size_t numWrites() const { return WriteLog.size(); }
@@ -273,10 +271,13 @@ public:
   }
 
 private:
+  /// One buffered store: a value, or (Delta) an amount add() applies to
+  /// the shared value at commit.
   struct Slot {
     void *Addr;
     uint64_t Raw;
     uint8_t Size;
+    bool Delta;
   };
   struct LoggedRead {
     const void *Addr;
@@ -334,22 +335,37 @@ private:
   void recordWrite(Entry &E, void *Ptr, uint64_t Raw, uint8_t Size) {
     if (E.WriteIdx == NoIdx) {
       E.WriteIdx = static_cast<uint32_t>(WriteLog.size());
-      WriteLog.push_back({Ptr, Raw, Size});
+      WriteLog.push_back({Ptr, Raw, Size, /*Delta=*/false});
       return;
     }
     Slot &S = WriteLog[E.WriteIdx];
     S.Raw = Raw;
     S.Size = Size;
+    S.Delta = false;
   }
 
-  template <BufferableValue T>
-  void recordRead(Entry &E, const T *Ptr, T Observed) {
+  void logRead(Entry &E, const void *Ptr, uint64_t Raw, uint8_t Size) {
     if (E.ReadIdx != NoIdx)
       return; // First-read-value wins for validation.
-    uint64_t Raw = 0;
-    std::memcpy(&Raw, &Observed, sizeof(T));
     E.ReadIdx = static_cast<uint32_t>(ReadLog.size());
-    ReadLog.push_back({Ptr, Raw, sizeof(T)});
+    ReadLog.push_back({Ptr, Raw, Size});
+  }
+
+  /// A read of a counter this chunk only added to: load the shared base,
+  /// log it as the first read (the value now depends on it), and turn
+  /// the slot into a plain write of base + delta.
+  void materialize(Entry &E, Slot &S) {
+    uint64_t Base = loadRaw(S.Addr, S.Size);
+    if (LogReads)
+      logRead(E, S.Addr, Base, S.Size);
+    S.Raw = wrapAdd(Base, S.Raw, S.Size);
+    S.Delta = false;
+  }
+
+  /// A + B in unsigned arithmetic, truncated to \p Size bytes.
+  static uint64_t wrapAdd(uint64_t A, uint64_t B, uint8_t Size) {
+    uint64_t Sum = A + B;
+    return Size >= 8 ? Sum : Sum & ((uint64_t{1} << (8 * Size)) - 1);
   }
 
   void grow() {
@@ -381,6 +397,42 @@ private:
     Ref.store(static_cast<U>(Raw), std::memory_order_relaxed);
   }
 
+  /// Size-dispatched relaxed load/store of a zero-extended raw value;
+  /// odd sizes take the plain memcpy path, matching loadShared and
+  /// storeShared.
+  static uint64_t loadRaw(const void *Ptr, uint8_t Size) {
+    switch (Size) {
+    case 8:
+      return rawLoad<uint64_t>(Ptr);
+    case 4:
+      return rawLoad<uint32_t>(Ptr);
+    case 2:
+      return rawLoad<uint16_t>(Ptr);
+    case 1:
+      return rawLoad<uint8_t>(Ptr);
+    default: {
+      uint64_t Raw = 0;
+      std::memcpy(&Raw, Ptr, Size);
+      return Raw;
+    }
+    }
+  }
+  static void storeRaw(void *Ptr, uint64_t Raw, uint8_t Size) {
+    switch (Size) {
+    case 8:
+      return rawStore<uint64_t>(Ptr, Raw);
+    case 4:
+      return rawStore<uint32_t>(Ptr, Raw);
+    case 2:
+      return rawStore<uint16_t>(Ptr, Raw);
+    case 1:
+      return rawStore<uint8_t>(Ptr, Raw);
+    default:
+      std::memcpy(Ptr, &Raw, Size);
+      return;
+    }
+  }
+
   Entry InlineTable[InlineCap] = {}; // Gen == 0: dead under Gen >= 1.
   std::unique_ptr<Entry[]> HeapTable;
   Entry *Table = InlineTable;
@@ -388,6 +440,7 @@ private:
   size_t Live = 0;     // Distinct addresses touched this generation.
   uint32_t Gen = 1;    // Current generation stamp; 0 is never current.
   uint64_t Rehashes = 0;
+  bool LogReads = true; ///< See setLogReads.
   detail::SmallVec<Slot, InlineLog> WriteLog;
   detail::SmallVec<LoggedRead, InlineLog> ReadLog;
 };
@@ -429,17 +482,20 @@ public:
     SpecWriteBuffer::storeShared(Ptr, V);
   }
 
-  /// Read-modify-write convenience for shared counters (flow statistics,
-  /// visit counts): a single buffer probe when speculative (see
-  /// SpecWriteBuffer::fetchAdd), a relaxed load + store when direct.
-  /// Returns Old. Not atomic across chunks -- cross-chunk counter races
-  /// are exactly what commit-time read validation catches.
-  template <BufferableValue T> T fetchAdd(T *Ptr, T Delta) {
-    if (Buf)
-      return Buf->fetchAdd(Ptr, Delta);
-    T Old = SpecWriteBuffer::loadShared(Ptr);
-    SpecWriteBuffer::storeShared(Ptr, static_cast<T>(Old + Delta));
-    return Old;
+  /// Commutative update of a shared counter (flow statistics, visit
+  /// counts) whose old value the body does not use: a buffered delta
+  /// when speculative (SpecWriteBuffer::add, nothing to validate), a
+  /// relaxed load + store when direct. A body that needs the old value
+  /// reads it, which makes the update validated again.
+  template <AddableValue T> void add(T *Ptr, T Delta) {
+    if (Buf) {
+      Buf->add(Ptr, Delta);
+      return;
+    }
+    using U = std::make_unsigned_t<T>;
+    U Old = static_cast<U>(SpecWriteBuffer::loadShared(Ptr));
+    SpecWriteBuffer::storeShared(Ptr,
+                                 static_cast<T>(Old + static_cast<U>(Delta)));
   }
 
 private:

@@ -475,7 +475,10 @@ private:
                              IterBudget);
     R.Stolen = Stolen;
     Results[C] = std::move(R);
-    Progress[C].Value.store(ChunkProgress::Done, std::memory_order_release);
+    // seq_cst + wake: the resolving thread may have parked on Running
+    // (WaitForChunk); when it has not, the wake is one load.
+    Progress[C].Value.store(ChunkProgress::Done, std::memory_order_seq_cst);
+    detail::wake(Progress[C]);
   }
 
   /// Iteration cap for speculative chunks the resolving main thread
@@ -800,8 +803,12 @@ private:
     const unsigned Lanes = S->lanes();
     for (unsigned C = 1; C <= ActiveChunks; ++C) {
       unsigned Node = S->laneNode(homeLane(C, Lanes));
-      DrawnBufs.emplace_back(Node, RT->pool().acquireSpecBuffer(Node));
-      BufPtrs[C] = DrawnBufs.back().second;
+      SpecWriteBuffer *B = RT->pool().acquireSpecBuffer(Node);
+      // Pool buffers serve every loop of the runtime: take this loop's
+      // read-logging mode with the draw.
+      B->setLogReads(Config.EnableConflictDetection);
+      DrawnBufs.emplace_back(Node, B);
+      BufPtrs[C] = B;
     }
   }
 
@@ -903,11 +910,13 @@ private:
     // full budget; a still-speculative one is clamped so main can never
     // be wedged inside a chunk only it could abort. Once nothing is
     // pending -- only main pushes, so nothing will be -- C is queued on or
-    // running on a worker. Main spins, then parks, until C starts, and
-    // yield-spins from there to C's end: a running chunk ends within its
-    // own length, while waking a parked main after the chunk would add
-    // a full wake-up (about 50 us on a KVM guest) to every invocation. A
-    // wake-up on start overlaps the chunk's own execution instead.
+    // running on a worker. Main spins, then parks, until C starts, then
+    // yield-spins for up to detail::YieldBeforePark and parks again until
+    // C is done. Most chunks end inside the yield window, where waking a
+    // parked main would add a full wake-up (about 50 us on a KVM guest);
+    // a chunk that runs on beside main for longer (a buffered chunk
+    // finishing well after chunk 0) would otherwise cost main's CPU for
+    // its whole remaining length.
     auto WaitForChunk = [&](unsigned C) {
       uint32_t P;
       while (Oversubscribed &&
@@ -920,8 +929,13 @@ private:
       }
       auto Started = [](ChunkProgress S) { return S != ChunkProgress::Queued; };
       ChunkProgress Now = detail::spinThenPark(Progress[C], Started);
+      const auto ParkAt =
+          std::chrono::steady_clock::now() + detail::YieldBeforePark;
       while (Now != ChunkProgress::Done) {
-        std::this_thread::yield(); // Lets a preempted worker run on us.
+        if (std::chrono::steady_clock::now() < ParkAt)
+          std::this_thread::yield(); // Lets a preempted worker run on us.
+        else
+          detail::park(Progress[C], Now);
         Now = Progress[C].Value.load(std::memory_order_acquire);
       }
     };
@@ -1227,8 +1241,10 @@ private:
             NumChunks)),
         Results(NumChunks) {
     BufPtrs.reserve(Buffers.size());
-    for (SpecWriteBuffer &B : Buffers)
+    for (SpecWriteBuffer &B : Buffers) {
+      B.setLogReads(Config.EnableConflictDetection);
       BufPtrs.push_back(&B);
+    }
     // NumChunks (and every invocation-sized structure above) is sized
     // for the policy's largest k; adaptive loops start at MinK and the
     // controller moves PlanChunks within the allocation.

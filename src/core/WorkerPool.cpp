@@ -21,6 +21,8 @@
 
 #if defined(__linux__)
 #include <linux/futex.h>
+#include <pthread.h>
+#include <sched.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
@@ -353,6 +355,14 @@ void WorkerPool::workerMain(unsigned Index) {
     }
   }
   WorkerSlot &Slot = Slots[Index];
+#if defined(__linux__)
+  // Recorded after the hook, so anti-affinity narrows what placement or
+  // the user chose instead of overriding it.
+  if (pthread_getaffinity_np(pthread_self(), sizeof(Slot.HomeCpus),
+                             &Slot.HomeCpus) == 0 &&
+      CPU_COUNT(&Slot.HomeCpus) > 1)
+    Slot.Steerable.store(true, std::memory_order_release);
+#endif
   uint32_t Seen = 0;
   for (;;) {
     Seen = spinThenPark(Slot.Seq, [Seen](uint32_t S) { return S != Seen; });
@@ -366,6 +376,9 @@ void WorkerPool::workerMain(unsigned Index) {
     detail::ParkWord<uint32_t> &Remaining =
         Session ? Session->Remaining : LegacyRemaining;
     (Session ? Session->Job : LegacyJob)(Slot.Lane);
+#if defined(__linux__)
+    Slot.LastCpu.store(sched_getcpu(), std::memory_order_relaxed);
+#endif
     // Sessions are recycled, never freed while the pool lives, so a
     // wake that lands after wait() has already seen 0 is safe.
     if (Remaining.Value.fetch_sub(1, std::memory_order_seq_cst) == 1)
@@ -377,8 +390,33 @@ void WorkerPool::post(unsigned Worker, WorkerSession *S, unsigned Lane) {
   WorkerSlot &Slot = Slots[Worker];
   Slot.Session = S;
   Slot.Lane = Lane;
+  keepOffCallerCpu(Worker);
   Slot.Seq.Value.fetch_add(1, std::memory_order_seq_cst);
   wake(Slot.Seq);
+}
+
+void WorkerPool::keepOffCallerCpu(unsigned Worker) {
+#if defined(__linux__)
+  // A woken thread tends to be placed where it last ran, or on the
+  // waker's CPU; once both are the caller's CPU the caller runs chunk 0
+  // there and the two take turns, which serializes the invocation. A
+  // worker that last ran elsewhere is left alone: clients on several
+  // CPUs sharing one worker would otherwise pay a mask update on most
+  // launches.
+  WorkerSlot &Slot = Slots[Worker];
+  if (!Slot.Steerable.load(std::memory_order_acquire))
+    return;
+  const int Cpu = sched_getcpu();
+  if (Cpu < 0 || Cpu != Slot.LastCpu.load(std::memory_order_relaxed))
+    return;
+  cpu_set_t Mask = Slot.HomeCpus;
+  CPU_CLR(Cpu, &Mask);
+  if (pthread_setaffinity_np(Threads[Worker].native_handle(), sizeof(Mask),
+                             &Mask) != 0)
+    Slot.Steerable.store(false, std::memory_order_relaxed);
+#else
+  (void)Worker;
+#endif
 }
 
 WorkerPool::SessionHandle WorkerPool::acquireSession(unsigned MaxLanes,

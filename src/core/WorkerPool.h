@@ -47,7 +47,18 @@
 /// detail::spinThenPark: a short bounded spin on one 32-bit word
 /// (detail::ParkWord), then a futex park on it, woken by the writer's
 /// detail::wake. Nothing on those paths uses a condition variable or the
-/// pool mutex.
+/// pool mutex. The one wait that may last a whole chunk, the resolving
+/// thread's wait for a running chunk (SpiceLoop), yield-spins for
+/// detail::YieldBeforePark and then parks on the chunk's progress word.
+///
+/// Anti-affinity: before it wakes a worker that last ran on the posting
+/// thread's CPU, a post takes that CPU out of the worker's CPU mask --
+/// the mask the worker recorded right after WorkerStartHook, so
+/// placement and user pinning are narrowed, never overridden
+/// (keepOffCallerCpu). Left to itself, a virtualized host can keep
+/// waking the worker onto the very CPU where the client then runs chunk
+/// 0, for minutes at a time, and the two then take turns: the
+/// invocation runs serially.
 ///
 /// When the pool is built with a multi-node topology::Placement
 /// (docs/topology.md), locality shapes all of this: leases take
@@ -74,6 +85,7 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -83,6 +95,10 @@
 #include <thread>
 #include <unordered_map>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace spice {
 namespace core {
@@ -100,6 +116,14 @@ namespace detail {
 /// more us of latency for 7-15% more CPU, spent by workers idling
 /// between a client's calls.
 inline constexpr unsigned SpinBeforePark = 512;
+
+/// How long the resolving thread yield-spins on a chunk that has started
+/// before it parks until the chunk is done (SpiceLoop's WaitForChunk).
+/// Sized on the same guest: parking after only the SpinBeforePark spin
+/// (about 10 us) added a wake-up to most scan_readonly invocations and
+/// cost it 3-10%; at 100 us the driver no longer spins through the
+/// roughly 1 ms by which a conflict_update chunk outlasts chunk 0.
+inline constexpr std::chrono::microseconds YieldBeforePark{100};
 
 /// One spin-wait step: a pause hint where the ISA has one.
 inline void cpuRelax() {
@@ -563,10 +587,21 @@ private:
                                                       int Preferred) const;
 
   /// Hands worker \p Worker the job of \p S (null: LegacyJob) on lane
-  /// \p Lane and wakes it: the slot writes, then a seq_cst bump of the
-  /// worker's sequence number and a wake on it. Lock-free; the
-  /// caller owns the worker (a lease, or the legacy no-session rule).
+  /// \p Lane and wakes it: the slot writes, keepOffCallerCpu, then a
+  /// seq_cst bump of the worker's sequence number and a wake on it.
+  /// Lock-free; the caller owns the worker (a lease, or the legacy
+  /// no-session rule).
   void post(unsigned Worker, WorkerSession *S, unsigned Lane);
+
+  /// Anti-affinity half of post(): when \p Worker finished its last job
+  /// on the CPU the calling thread now runs on, narrows the worker's
+  /// mask to the one it recorded at start minus that CPU, before the
+  /// wake, so the scheduler cannot place the woken worker where the
+  /// caller is about to run chunk 0. One system call, and only then: a
+  /// worker that last ran elsewhere keeps its mask. A worker whose
+  /// recorded mask has a single CPU, or whose mask could not be set, is
+  /// left alone. A no-op off Linux.
+  void keepOffCallerCpu(unsigned Worker);
 
   /// Leases \p Take free workers into \p S on behalf of \p Owner.
   /// Requires the pool mutex and Take <= FreeCount. \p StartNode (-1
@@ -587,6 +622,18 @@ private:
     WorkerSession *Session = nullptr;
     unsigned Lane = 0;
     bool Leased = false; ///< Guarded by the pool mutex.
+    /// keepOffCallerCpu state. Steerable is stored true (release) by the
+    /// worker once it recorded a multi-CPU HomeCpus, and false by a
+    /// poster whose mask update failed. LastCpu is the CPU the worker
+    /// finished its last job on (-1 before its first), stored by the
+    /// worker before it reports the job done.
+    std::atomic<bool> Steerable{false};
+    std::atomic<int> LastCpu{-1};
+#if defined(__linux__)
+    /// The worker's mask right after WorkerStartHook: what topology
+    /// pinning or a user hook chose. Written once, before Steerable.
+    cpu_set_t HomeCpus{};
+#endif
   };
 
   /// One node's warm-buffer freelist (multi-node placement only). Own

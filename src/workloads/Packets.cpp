@@ -149,10 +149,11 @@ void PacketPipeline::applyPacket(const Packet &P, FlowEntry *F,
                                  PacketState &S, SpecSpace &Mem) {
   if (!F)
     return; // Untracked flow: a real pipeline would punt to slow path.
-  // Per-flow counters: read-modify-write on shared state. fetchAdd
-  // reads own writes first, so an in-chunk burst accumulates correctly.
-  Mem.fetchAdd(&F->Packets, int64_t{1});
-  Mem.fetchAdd(&F->Bytes, static_cast<int64_t>(P.Length));
+  // Per-flow counters: commutative updates nobody reads back, so a
+  // speculative chunk buffers deltas and a predecessor bumping the same
+  // flow does not squash it. Only the state machine below is validated.
+  Mem.add(&F->Packets, int64_t{1});
+  Mem.add(&F->Bytes, static_cast<int64_t>(P.Length));
   S.Packets += 1;
   S.Bytes += P.Length;
   // Connection tracking: new --SYN--> established --FIN--> closed.

@@ -13,12 +13,13 @@
 /// through the SpecSpace.
 ///
 /// The dependence structure is the inverse of the graph family: most
-/// packets touch *disjoint* flows, so speculative chunks almost always
-/// commit cleanly, but the trace generator injects occasional
-/// same-flow bursts (and a Zipf-style heavy head of hot flows) whose
-/// read-modify-write counter updates straddle chunk boundaries and
-/// force commit-time validation failures -- rare, bursty
-/// mispredictions on an otherwise embarrassingly speculative loop.
+/// packets touch *disjoint* flows, and the trace generator's same-flow
+/// bursts and heavy head of hot flows only bump counters, which are
+/// commutative SpecSpace::add updates that commit without validation.
+/// What can still fail validation is the SYN/FIN state machine: a flow
+/// whose state a predecessor chunk moves after a speculative chunk read
+/// it -- rare, bursty mispredictions on an otherwise embarrassingly
+/// speculative loop.
 /// Trace length varies between invocations, so memoized trace-cursor
 /// predictions also go stale at the tail, like otter's shrinking list.
 ///
@@ -138,12 +139,13 @@ public:
   /// arena capacity). Flow choice models the temporal locality of real
   /// traces: packets draw from a window of flows that slides with the
   /// trace position, so distinct chunks of the trace touch mostly
-  /// disjoint flows and usually commit cleanly. Two dials inject the
-  /// cross-chunk sharing that forces conflict squashes: with
-  /// probability \p HotProb a packet hits one of a few global
-  /// heavy-hitter flows, and with probability \p BurstProb it starts a
-  /// run of up to \p BurstLen consecutive same-flow packets (bursts
-  /// straddle chunk boundaries). Returns the trace length.
+  /// disjoint flows and usually commit cleanly. Two dials inject
+  /// cross-chunk sharing: with probability \p HotProb a packet hits one
+  /// of a few global heavy-hitter flows, and with probability \p
+  /// BurstProb it starts a run of up to \p BurstLen consecutive
+  /// same-flow packets (bursts straddle chunk boundaries). Shared
+  /// counters commute; a shared flow's SYN/FIN state change is what
+  /// forces a conflict squash. Returns the trace length.
   size_t generateTrace(size_t NumPackets, double BurstProb = 0.05,
                        unsigned BurstLen = 8, double HotProb = 0.02);
 

@@ -36,8 +36,8 @@ constexpr int StressInvocations = 10000;
 
 TEST(ReuseStress, BufferAndSessionHighWaterMarksStabilize) {
   SpiceRuntime RT(/*NumThreads=*/4);
-  // Each iteration fetchAdds its own counter cell: speculative chunks
-  // route the RMW through their SpecWriteBuffer (hundreds of live
+  // Each iteration adds to its own counter cell: speculative chunks
+  // buffer the delta in their SpecWriteBuffer (hundreds of live
   // entries per chunk, well past inline storage), yet never conflict,
   // so every invocation after bootstrap runs parallel.
   std::vector<uint64_t> Counters(NumIters, 0);
@@ -45,8 +45,7 @@ TEST(ReuseStress, BufferAndSessionHighWaterMarksStabilize) {
                  .step([&](int64_t &I, uint64_t &S, SpecSpace &Mem) {
                    if (I >= NumIters)
                      return false;
-                   Mem.fetchAdd(&Counters[static_cast<size_t>(I)],
-                                uint64_t{1});
+                   Mem.add(&Counters[static_cast<size_t>(I)], uint64_t{1});
                    S += static_cast<uint64_t>(I);
                    ++I;
                    return true;

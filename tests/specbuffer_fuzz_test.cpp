@@ -9,17 +9,21 @@
 /// reference model (std::map keyed by address). Each round drives one
 /// buffer -- deliberately *reused* across rounds so the generation-stamp
 /// clear and capacity-retention paths are exercised -- through a seeded
-/// random sequence of write/read/fetchAdd/mutate-shared/validate/commit/
-/// clear operations over mixed 1/2/4/8-byte cells, checking after every
-/// step that the buffer's observable behaviour (returned values, log
-/// sizes, validation verdicts, committed memory) matches the model.
+/// random sequence of write/read/add/mutate-shared/validate/commit/clear
+/// operations over mixed 1/2/4/8-byte cells, checking after every step
+/// that the buffer's observable behaviour (returned values, log sizes,
+/// validation verdicts, committed memory) matches the model. Commutative
+/// adds buffer deltas, so the model covers delta accumulation with
+/// wrap-around and the add->read, add->write and write->add hand-offs.
 ///
 /// Rounds alternate between a narrow address range (buffer can stay on
 /// inline storage) and a wide one that is pre-seeded with enough
 /// distinct addresses to deterministically force table growth,
 /// rehashing, and the heap table, so both storage regimes are fuzzed by
-/// every run. The round count defaults to a few thousand and can be
-/// raised with the SPICE_FUZZ_ROUNDS environment variable for soak runs.
+/// every run. Every fourth round turns the read log off, as a loop
+/// without conflict detection does. The round count defaults to a few
+/// thousand and can be raised with the SPICE_FUZZ_ROUNDS environment
+/// variable for soak runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +48,7 @@ struct RefModel {
   struct Val {
     uint64_t Raw;
     uint8_t Size;
+    bool Delta = false; ///< Writes only: Raw is an add()'s pending delta.
   };
   std::map<const void *, Val> Writes;
   std::map<const void *, Val> Reads;
@@ -60,6 +65,12 @@ uint64_t rawLoadBytes(const void *Addr, uint8_t Size) {
   uint64_t Raw = 0;
   std::memcpy(&Raw, Addr, Size);
   return Raw;
+}
+
+/// A + B truncated to Size bytes: the wrap-around an add must produce.
+uint64_t wrapBytes(uint64_t A, uint64_t B, uint8_t Size) {
+  uint64_t Sum = A + B;
+  return Size == 8 ? Sum : Sum % (uint64_t{1} << (8 * Size));
 }
 
 /// One typed arena per cell width. The buffer only ever sees a given
@@ -93,8 +104,10 @@ public:
   /// Runs one round of Ops random operations. Narrow rounds touch few
   /// addresses (buffer can stay inline); wide rounds pre-write enough
   /// distinct addresses to force growth, then fuzz the grown table.
-  void runRound(size_t Ops, bool Wide) {
+  void runRound(size_t Ops, bool Wide, bool Log) {
     Limit = Wide ? NumCells : 5;
+    LogReads = Log;
+    Buf.setLogReads(Log);
     if (Wide)
       for (size_t I = 0; I < WidePreheat; ++I)
         doWriteAt<uint64_t>(I);
@@ -115,6 +128,12 @@ public:
 
   SpecWriteBuffer &buffer() { return Buf; }
 
+  /// How often the interesting add sequences came up (see doAdd).
+  struct AddCoverage {
+    size_t Wraps = 0, AddThenRead = 0, AddThenWrite = 0, WriteThenAdd = 0;
+  };
+  const AddCoverage &coverage() const { return Cov; }
+
 private:
   void step() {
     unsigned Roll = static_cast<unsigned>(Rng() % 100);
@@ -123,7 +142,7 @@ private:
     else if (Roll < 58)
       dispatch([this](auto Tag) { doRead(Tag); });
     else if (Roll < 73)
-      dispatch([this](auto Tag) { doFetchAdd(Tag); });
+      dispatch([this](auto Tag) { doAdd(Tag); });
     else if (Roll < 83)
       dispatch([this](auto Tag) { doMutateShared(Tag); });
     else if (Roll < 95)
@@ -170,7 +189,10 @@ private:
     Buf.write(Addr, V);
     uint64_t Raw = 0;
     std::memcpy(&Raw, &V, sizeof(T));
-    Model.Writes[Addr] = {Raw, sizeof(T)};
+    auto [W, New] = Model.Writes.try_emplace(Addr);
+    if (!New && W->second.Delta)
+      ++Cov.AddThenWrite;
+    W->second = {Raw, sizeof(T), false};
   }
 
   template <typename T> void doWrite(T) { doWriteAt<T>(Rng() % Limit); }
@@ -182,36 +204,50 @@ private:
     // Expected: own buffered write first, else the current shared value.
     T Want;
     auto W = Model.Writes.find(Addr);
-    if (W != Model.Writes.end())
-      std::memcpy(&Want, &W->second.Raw, sizeof(T));
-    else {
+    if (W != Model.Writes.end()) {
+      RefModel::Val &V = W->second;
+      if (V.Delta) {
+        // A read of an added-to counter loads the base, logs it as the
+        // first read, and leaves a plain write of base + delta.
+        ++Cov.AddThenRead;
+        uint64_t Base = rawLoadBytes(Addr, sizeof(T));
+        logRead(Addr, Base, sizeof(T));
+        V = {wrapBytes(Base, V.Raw, sizeof(T)), sizeof(T), false};
+      }
+      std::memcpy(&Want, &V.Raw, sizeof(T));
+    } else {
       Want = *Addr;
-      // Only the first read of a never-written address is logged.
-      Model.Reads.try_emplace(
-          Addr, RefModel::Val{rawLoadBytes(Addr, sizeof(T)), sizeof(T)});
+      logRead(Addr, rawLoadBytes(Addr, sizeof(T)), sizeof(T));
     }
     ASSERT_EQ(Got, Want) << "read mismatch at width " << sizeof(T);
   }
 
-  template <typename T> void doFetchAdd(T) {
+  /// Only the first read of an address is logged, and only with the log
+  /// on.
+  void logRead(const void *Addr, uint64_t Raw, uint8_t Size) {
+    if (LogReads)
+      Model.Reads.try_emplace(Addr, RefModel::Val{Raw, Size});
+  }
+
+  template <typename T> void doAdd(T) {
     auto &C = cells<T>();
     T *Addr = &C.Shared[Rng() % Limit];
-    T Delta = static_cast<T>(Rng());
-    T Got = Buf.fetchAdd(Addr, Delta);
-    T Old;
-    auto W = Model.Writes.find(Addr);
-    if (W != Model.Writes.end())
-      std::memcpy(&Old, &W->second.Raw, sizeof(T));
-    else {
-      Old = *Addr;
-      Model.Reads.try_emplace(
-          Addr, RefModel::Val{rawLoadBytes(Addr, sizeof(T)), sizeof(T)});
-    }
-    T New = static_cast<T>(Old + Delta);
+    // Mostly near the top of the range, so sums wrap often.
+    T Delta = static_cast<T>((Rng() & 1) ? Rng() : ~uint64_t{0} - Rng() % 4);
+    Buf.add(Addr, Delta);
     uint64_t Raw = 0;
-    std::memcpy(&Raw, &New, sizeof(T));
-    Model.Writes[Addr] = {Raw, sizeof(T)};
-    ASSERT_EQ(Got, Old) << "fetchAdd mismatch at width " << sizeof(T);
+    std::memcpy(&Raw, &Delta, sizeof(T));
+    auto [W, New] = Model.Writes.try_emplace(
+        Addr, RefModel::Val{Raw, sizeof(T), /*Delta=*/true});
+    if (New)
+      return; // Nothing read: no read-log entry.
+    RefModel::Val &V = W->second;
+    if (!V.Delta)
+      ++Cov.WriteThenAdd;
+    uint64_t Sum = wrapBytes(V.Raw, Raw, sizeof(T));
+    if (Sum < V.Raw)
+      ++Cov.Wraps;
+    V.Raw = Sum;
   }
 
   /// Another "thread" mutating shared memory under the buffer's feet --
@@ -257,8 +293,17 @@ private:
     // The buffer publishes into Shared; the model predicts the result
     // by applying its write set to the shadow copy.
     Buf.commit();
-    for (const auto &[Addr, W] : Model.Writes)
-      std::memcpy(shadowOf(Addr), &W.Raw, W.Size);
+    for (const auto &[Addr, W] : Model.Writes) {
+      void *Shadow = shadowOf(Addr);
+      uint64_t Raw = W.Raw;
+      if (W.Delta) {
+        uint64_t Base = rawLoadBytes(Shadow, W.Size);
+        Raw = wrapBytes(Base, W.Raw, W.Size);
+        if (Raw < Base)
+          ++Cov.Wraps;
+      }
+      std::memcpy(Shadow, &Raw, W.Size);
+    }
     Model.clear();
     ASSERT_TRUE(Buf.empty());
     checkMemory();
@@ -291,7 +336,9 @@ private:
   std::mt19937_64 Rng;
   SpecWriteBuffer Buf;
   RefModel Model;
+  AddCoverage Cov;
   size_t Limit = NumCells;
+  bool LogReads = true;
   TypedCells<uint8_t, NumCells> C8;
   TypedCells<uint16_t, NumCells> C16;
   TypedCells<uint32_t, NumCells> C32;
@@ -310,10 +357,16 @@ TEST(SpecBufferFuzz, DifferentialVsReferenceModel) {
   size_t Rounds = fuzzRounds();
   for (size_t R = 0; R < Rounds; ++R) {
     // Alternate storage regimes; one reused buffer across all rounds.
-    F.runRound(/*Ops=*/100, /*Wide=*/(R & 1) != 0);
+    F.runRound(/*Ops=*/100, /*Wide=*/(R & 1) != 0,
+               /*LogReads=*/R % 4 != 3);
     if (::testing::Test::HasFatalFailure())
       FAIL() << "fuzz failed in round " << R;
   }
+  const auto &Cov = F.coverage();
+  EXPECT_GT(Cov.Wraps, 0u);
+  EXPECT_GT(Cov.AddThenRead, 0u);
+  EXPECT_GT(Cov.AddThenWrite, 0u);
+  EXPECT_GT(Cov.WriteThenAdd, 0u);
   // Wide rounds pre-seed 48 distinct addresses, past the inline live
   // limit, so the reused buffer must have grown onto the heap.
   EXPECT_FALSE(F.buffer().usesInlineStorage());
@@ -325,7 +378,8 @@ TEST(SpecBufferFuzz, DifferentialVsReferenceModel) {
 TEST(SpecBufferFuzz, DifferentialSecondSeed) {
   Fuzzer F(UINT64_C(0x5EEDED));
   for (size_t R = 0; R < 200; ++R) {
-    F.runRound(/*Ops=*/100, /*Wide=*/(R % 3) == 0);
+    F.runRound(/*Ops=*/100, /*Wide=*/(R % 3) == 0,
+               /*LogReads=*/R % 4 != 3);
     if (::testing::Test::HasFatalFailure())
       FAIL() << "fuzz failed in round " << R;
   }

@@ -134,34 +134,106 @@ TEST(SpecSpace, BufferedModeIsolates) {
   EXPECT_EQ(Spec.read(&Cell), 22);
 }
 
-TEST(SpecSpace, FetchAddDirectMode) {
+TEST(SpecSpace, AddDirectMode) {
   int64_t Counter = 10;
   SpecSpace Direct;
-  EXPECT_EQ(Direct.fetchAdd(&Counter, int64_t{5}), 10);
+  Direct.add(&Counter, int64_t{5});
   EXPECT_EQ(Counter, 15);
+  Direct.add(&Counter, int64_t{-20});
+  EXPECT_EQ(Counter, -5);
+  int64_t Max = INT64_MAX;
+  Direct.add(&Max, int64_t{1}); // Wraps: unsigned arithmetic, no UB.
+  EXPECT_EQ(Max, INT64_MIN);
 }
 
-TEST(SpecSpace, FetchAddBufferedReadsOwnWrites) {
+TEST(SpecSpace, AddBufferedAccumulatesDeltaWithoutReading) {
   int64_t Counter = 10;
   SpecWriteBuffer Buf;
   SpecSpace Spec(&Buf);
-  EXPECT_EQ(Spec.fetchAdd(&Counter, int64_t{1}), 10);
-  EXPECT_EQ(Spec.fetchAdd(&Counter, int64_t{1}), 11)
-      << "the second add must see the first buffered increment";
+  Spec.add(&Counter, int64_t{1});
+  Spec.add(&Counter, int64_t{1});
   EXPECT_EQ(Counter, 10) << "increments stay buffered until commit";
+  EXPECT_EQ(Buf.numWrites(), 1u) << "both adds share one delta slot";
+  EXPECT_EQ(Buf.numLoggedReads(), 0u) << "an add reads no shared memory";
   Buf.commit();
   EXPECT_EQ(Counter, 12);
 }
 
-TEST(SpecSpace, FetchAddLogsSharedReadForValidation) {
+TEST(SpecSpace, AddOnlyBufferValidatesAfterConcurrentUpdate) {
+  // Two chunks bumping one counter commute: a predecessor's committed
+  // update must not squash this chunk, and the commit applies the
+  // delta on top of it.
   int64_t Counter = 10;
   SpecWriteBuffer Buf;
   SpecSpace Spec(&Buf);
-  Spec.fetchAdd(&Counter, int64_t{1});
-  EXPECT_EQ(Buf.numLoggedReads(), 1u);
-  Counter = 99; // A predecessor chunk committed a different count.
+  Spec.add(&Counter, int64_t{3});
+  SpecWriteBuffer::storeShared(&Counter, int64_t{100}); // Direct write.
+  EXPECT_TRUE(Buf.validateReads());
+  Buf.commit();
+  EXPECT_EQ(Counter, 103);
+}
+
+TEST(SpecSpace, AddThenReadFailsValidationWhenBaseMoved) {
+  int64_t Counter = 10;
+  SpecWriteBuffer Buf;
+  SpecSpace Spec(&Buf);
+  Spec.add(&Counter, int64_t{2});
+  EXPECT_EQ(Spec.read(&Counter), 12) << "a read materializes base + delta";
+  EXPECT_EQ(Buf.numLoggedReads(), 1u) << "the base is logged as read";
+  EXPECT_TRUE(Buf.validateReads());
+  Counter = 50; // A predecessor chunk committed a different count.
   EXPECT_FALSE(Buf.validateReads())
-      << "a raced counter update must fail validation";
+      << "the chunk used the old count, so it must be squashed";
+  Counter = 10;
+  Buf.commit();
+  EXPECT_EQ(Counter, 12) << "a materialized slot commits its value";
+}
+
+TEST(SpecSpace, AddAfterWriteAccumulatesAndWriteReplacesDelta) {
+  int64_t A = 1, B = 1;
+  SpecWriteBuffer Buf;
+  SpecSpace Spec(&Buf);
+  Spec.write(&A, int64_t{40});
+  Spec.add(&A, int64_t{2}); // Accumulates into the buffered value.
+  Spec.add(&B, int64_t{5});
+  Spec.write(&B, int64_t{7}); // Overwrites the delta.
+  EXPECT_EQ(Buf.numLoggedReads(), 0u);
+  A = 1000;
+  B = 1000;
+  Buf.commit();
+  EXPECT_EQ(A, 42);
+  EXPECT_EQ(B, 7);
+}
+
+TEST(SpecSpace, AddWrapsInTheSlotWidth) {
+  uint8_t Small = 250;
+  int16_t Signed = -2;
+  SpecWriteBuffer Buf;
+  SpecSpace Spec(&Buf);
+  Spec.add(&Small, uint8_t{10});
+  Spec.add(&Signed, int16_t{-32767}); // -32769 wraps to 32767.
+  Buf.commit();
+  EXPECT_EQ(Small, 4);
+  EXPECT_EQ(Signed, 32767);
+}
+
+TEST(SpecWriteBuffer, NoReadLogWithoutConflictDetection) {
+  // A loop without EnableConflictDetection never validates, so its
+  // buffers keep only the own-write lookup on reads.
+  int64_t Cell = 3, Counter = 5;
+  SpecWriteBuffer Buf;
+  Buf.setLogReads(false);
+  EXPECT_EQ(Buf.read(&Cell), 3);
+  EXPECT_EQ(Buf.read(&Cell), 3);
+  Buf.write(&Cell, int64_t{4});
+  EXPECT_EQ(Buf.read(&Cell), 4);
+  Buf.add(&Counter, int64_t{1});
+  EXPECT_EQ(Buf.read(&Counter), 6);
+  EXPECT_EQ(Buf.numLoggedReads(), 0u);
+  EXPECT_EQ(Buf.numWrites(), 2u);
+  Buf.commit();
+  EXPECT_EQ(Cell, 4);
+  EXPECT_EQ(Counter, 6);
 }
 
 //===----------------------------------------------------------------------===//
@@ -258,7 +330,8 @@ TEST(SpecWriteBufferEdge, AbaChangedThenRestoredValidatesClean) {
   // commit -- there is deliberately no ABA detection here.
   int64_t Balance = 100;
   SpecWriteBuffer Buf;
-  EXPECT_EQ(Buf.fetchAdd(&Balance, int64_t{5}), 100);
+  EXPECT_EQ(Buf.read(&Balance), 100);
+  Buf.write(&Balance, int64_t{105});
   Balance = 250; // Another chunk's transient update...
   Balance = 100; // ...rolled back before this chunk resolves.
   EXPECT_TRUE(Buf.validateReads()) << "ABA must validate clean";

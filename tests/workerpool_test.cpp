@@ -17,6 +17,11 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 using namespace spice::core;
 
 TEST(WorkerPool, RunsEveryWorkerExactlyOnce) {
@@ -361,3 +366,127 @@ TEST(WorkerPoolWake, QueuesClosedBeforeLaunchEndEveryJob) {
     EXPECT_EQ(Ran.load(), Chunks);
   }
 }
+
+#if defined(__linux__)
+
+namespace {
+
+/// CPUs the calling thread may run on.
+cpu_set_t ownCpus() {
+  cpu_set_t M;
+  CPU_ZERO(&M);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(M), &M), 0);
+  return M;
+}
+
+std::vector<int> cpuList(const cpu_set_t &M) {
+  std::vector<int> Cpus;
+  for (int C = 0; C != CPU_SETSIZE; ++C)
+    if (CPU_ISSET(C, &M))
+      Cpus.push_back(C);
+  return Cpus;
+}
+
+cpu_set_t maskOf(const std::vector<int> &Cpus) {
+  cpu_set_t M;
+  CPU_ZERO(&M);
+  for (int C : Cpus)
+    CPU_SET(C, &M);
+  return M;
+}
+
+void pinSelf(const cpu_set_t &M) {
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(M), &M), 0);
+}
+
+/// Leases every worker of \p Pool and runs \p Job(Lane) on each.
+template <typename Fn> void runOnEveryWorker(WorkerPool &Pool, Fn Job) {
+  WorkerPool::SessionHandle S = Pool.acquireSession(Pool.size(), true);
+  S->closeQueues();
+  S->launch([&](unsigned Lane) { Job(Lane); });
+  S->wait();
+}
+
+/// Each worker's CPU mask as the worker itself sees it inside a job
+/// launched by the calling thread.
+std::vector<cpu_set_t> workerMasks(WorkerPool &Pool) {
+  std::vector<cpu_set_t> Masks(Pool.size());
+  runOnEveryWorker(Pool, [&](unsigned Lane) {
+    EXPECT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(cpu_set_t),
+                                     &Masks[Lane]),
+              0);
+  });
+  return Masks;
+}
+
+/// From a client thread pinned to \p Cpu: first a job that pins every
+/// worker to \p LastRun, so each finishes it there, then the masks the
+/// workers see in the next launch.
+std::vector<cpu_set_t> masksAfterLaunchFrom(WorkerPool &Pool, int Cpu,
+                                            int LastRun) {
+  std::vector<cpu_set_t> Masks;
+  std::thread Client([&] {
+    pinSelf(maskOf({Cpu}));
+    runOnEveryWorker(Pool, [&](unsigned) { pinSelf(maskOf({LastRun})); });
+    Masks = workerMasks(Pool);
+  });
+  Client.join();
+  return Masks;
+}
+
+} // namespace
+
+TEST(WorkerPoolAffinity, LaunchMovesWorkersOffTheCallersCpu) {
+  const std::vector<int> All = cpuList(ownCpus());
+  if (All.size() < 2)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  WorkerPool Pool(2);
+  // First and last CPU: the second round moves the exclusion.
+  for (int C : {All.front(), All.back()}) {
+    std::vector<int> Rest;
+    for (int Other : All)
+      if (Other != C)
+        Rest.push_back(Other);
+    const cpu_set_t Want = maskOf(Rest);
+    for (const cpu_set_t &M : masksAfterLaunchFrom(Pool, C, C)) {
+      EXPECT_FALSE(CPU_ISSET(C, &M)) << "worker may run on caller CPU " << C;
+      EXPECT_TRUE(CPU_EQUAL(&M, &Want)) << "only the caller CPU is removed";
+    }
+  }
+}
+
+TEST(WorkerPoolAffinity, WorkerThatRanElsewhereKeepsItsMask) {
+  // No mask update when the worker last ran on another CPU: clients on
+  // several CPUs sharing a worker must not pay one on every launch.
+  const std::vector<int> All = cpuList(ownCpus());
+  if (All.size() < 2)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  WorkerPool Pool(2);
+  const cpu_set_t Second = maskOf({All[1]});
+  for (const cpu_set_t &M : masksAfterLaunchFrom(Pool, All[0], All[1]))
+    EXPECT_TRUE(CPU_EQUAL(&M, &Second)) << "mask left as it was";
+}
+
+TEST(WorkerPoolAffinity, StartHookSubsetIsKeptMinusTheCallersCpu) {
+  const std::vector<int> All = cpuList(ownCpus());
+  if (All.size() < 2)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  // Pin every worker to the first two CPUs, as topology pinning would.
+  const cpu_set_t Subset = maskOf({All[0], All[1]});
+  WorkerPool Pool(2, [&](unsigned) { pinSelf(Subset); });
+  const cpu_set_t Second = maskOf({All[1]});
+  for (const cpu_set_t &M : masksAfterLaunchFrom(Pool, All[0], All[0]))
+    EXPECT_TRUE(CPU_EQUAL(&M, &Second)) << "hook subset minus the caller";
+}
+
+TEST(WorkerPoolAffinity, SingleCpuMaskIsLeftAlone) {
+  const std::vector<int> All = cpuList(ownCpus());
+  if (All.size() < 2)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  const cpu_set_t One = maskOf({All[0]});
+  WorkerPool Pool(2, [&](unsigned) { pinSelf(One); });
+  for (const cpu_set_t &M : masksAfterLaunchFrom(Pool, All[0], All[0]))
+    EXPECT_TRUE(CPU_EQUAL(&M, &One)) << "a one-CPU worker stays pinned";
+}
+
+#endif // defined(__linux__)
