@@ -15,7 +15,10 @@
 // per-commit perf artifacts (scripts/compare_bench.py reports them),
 // alongside the JIT tier's compile costs: jit_cold_compile_ns (first
 // CodeCache::getOrCompile of a loop -- lift, passes, lowering) vs
-// jit_cache_hit_compile_ns (every warm re-lookup of the same key).
+// jit_cache_hit_compile_ns (every warm re-lookup of the same key). The
+// chunk-execution phase is probed the same way: spec_chunk_ns_per_iter
+// (a node inside a speculative chunk) against seq_step_ns_per_iter (a
+// node of the plain sequential loop); reported, not gated.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +32,7 @@
 #include "jit/CodeCache.h"
 #include "transform/CanonicalLoop.h"
 #include "workloads/IRWorkloads.h"
+#include "workloads/Otter.h"
 #include "workloads/Sjeng.h"
 
 #include <algorithm>
@@ -333,6 +337,39 @@ uint64_t specClearReuseNanos(int Reps) {
   });
 }
 
+/// The chunk-execution phase in ns per node, on a 1M-node otter list.
+struct ChunkPhaseNanos {
+  /// A warmed 2-thread invocation's median time over the nodes one lane
+  /// covers (half the list): the per-lane cost of a chunk, dispatch and
+  /// join included.
+  double SpecChunkPerIter = 0;
+  /// runSequentialReference's median time over all nodes.
+  double SeqStepPerIter = 0;
+};
+
+ChunkPhaseNanos chunkPhaseNanos(int Reps) {
+  constexpr size_t Nodes = 1'000'000;
+  workloads::ClauseList List(Nodes, /*Seed=*/7);
+  workloads::OtterTraits Traits;
+  SpiceRuntime RT(/*NumThreads=*/2);
+  auto Loop = RT.makeLoop(Traits);
+  // Bootstrap, then let the plan balance the two chunks.
+  for (int I = 0; I != 4; ++I)
+    benchmark::DoNotOptimize(Loop.invoke(List.head()));
+  ChunkPhaseNanos R;
+  R.SpecChunkPerIter =
+      static_cast<double>(medianOpNanos(Reps, 1, [&] {
+        benchmark::DoNotOptimize(Loop.invoke(List.head()));
+      })) /
+      (Nodes / 2);
+  R.SeqStepPerIter =
+      static_cast<double>(medianOpNanos(Reps, 1, [&] {
+        benchmark::DoNotOptimize(Loop.runSequentialReference(List.head()));
+      })) /
+      Nodes;
+  return R;
+}
+
 /// Hand-timed median of \p Reps submit().get() round trips (ns), solo or
 /// against a contending background client. google-benchmark reports the
 /// same numbers interactively; this feeds the flat BENCH_*.json artifact
@@ -463,6 +500,9 @@ int main(int argc, char **argv) {
               medianJitCompileNanos(JitReps, /*Warm=*/false));
   Json.scalar("jit_cache_hit_compile_ns",
               medianJitCompileNanos(JitReps, /*Warm=*/true));
+  const ChunkPhaseNanos Chunk = chunkPhaseNanos(Bench.pick(60, 10));
+  Json.scalar("spec_chunk_ns_per_iter", Chunk.SpecChunkPerIter);
+  Json.scalar("seq_step_ns_per_iter", Chunk.SeqStepPerIter);
   Json.write();
   return 0;
 }

@@ -103,14 +103,24 @@ public:
   explicit MemoCursor(const std::vector<MemoEntry> *Entries)
       : Entries(Entries) {}
 
+  /// The work count the next recording waits for: the row is due once
+  /// the chunk's work counter exceeds it. UINT64_MAX when the plan is
+  /// exhausted, so a loop can hold it in a register and compare its
+  /// counter against it without re-checking the plan.
+  uint64_t nextThreshold() const {
+    if (!Entries || Next >= Entries->size())
+      return UINT64_MAX;
+    return (*Entries)[Next].Threshold;
+  }
+
+  /// The SVA row of the due entry; advances the cursor. Only valid while
+  /// nextThreshold() is not UINT64_MAX.
+  unsigned take() { return (*Entries)[Next++].Row; }
+
   /// Returns the SVA row to record into when \p WorkSoFar exceeds the
   /// current threshold, advancing the cursor; ~0u otherwise.
   unsigned shouldRecord(uint64_t WorkSoFar) {
-    if (!Entries || Next >= Entries->size())
-      return ~0u;
-    if (WorkSoFar <= (*Entries)[Next].Threshold)
-      return ~0u;
-    return (*Entries)[Next++].Row;
+    return WorkSoFar > nextThreshold() ? take() : ~0u;
   }
 
 private:

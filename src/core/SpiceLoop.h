@@ -72,8 +72,10 @@
 ///    successor's predicted start at the top of each iteration; a match
 ///    validates the successor and ends the chunk;
 ///  * a natural loop exit in chunk i means chunks i+1.. mis-speculated:
-///    they are squashed via cooperative resteer (abort flags polled per
-///    iteration) and their buffered stores are discarded;
+///    they are squashed via cooperative resteer and their buffered stores
+///    are discarded. A chunk runs in segments of detail::AbortPollStride
+///    (256) iterations and polls its abort flag at each segment head, so
+///    a squashed chunk stops within one stride;
 ///  * every chunk runs Algorithm 2 re-memoization driven by the plan the
 ///    central component computed from the previous invocation's work
 ///    counters (dynamic load balancing);
@@ -342,9 +344,18 @@ private:
     std::vector<unsigned> WrittenRows;
   };
 
-  uint64_t weightOf(const LiveIn &LI) {
+  /// True when iterations count Traits::weight work units instead of 1.
+  bool weighted() const {
+    if constexpr (HasWeight<Traits, LiveIn>)
+      return Config.UseWeightedWork;
+    return false;
+  }
+
+  /// Work units of the iteration starting at \p LI; \p Weighted is
+  /// weighted(), hoisted out of the caller's loop.
+  uint64_t weightOf(const LiveIn &LI, bool Weighted) {
     if constexpr (HasWeight<Traits, LiveIn>) {
-      if (Config.UseWeightedWork)
+      if (Weighted)
         return T.weight(LI);
     }
     return 1;
@@ -367,42 +378,65 @@ private:
   /// main chunk. \p IterBudget caps speculative iterations (normally
   /// Config.MaxSpecIterations; tighter for main-helped chunks, see
   /// helpIterBudget()).
+  ///
+  /// The loop runs in segments of at most detail::AbortPollStride
+  /// iterations. Only a segment head checks the budget and polls the
+  /// abort flag; state and counters stay in locals until the chunk ends.
+  /// An iteration is the compare of the work counter against the held
+  /// memoization threshold, the detection compare and T.step.
   ChunkResult runChunk(LiveIn LI, const LiveIn *Target, unsigned ChunkIdx,
                        MemoCursor Cursor, uint64_t IterBudget) {
     ChunkResult R;
-    R.S = T.initialState();
-    bool Speculative = ChunkIdx != 0;
+    State S = T.initialState();
+    const bool Speculative = ChunkIdx != 0;
     SpecSpace Mem =
         Speculative ? SpecSpace(&specBuf(ChunkIdx)) : SpecSpace();
-    for (;;) {
-      if (Speculative &&
-          AbortFlags[ChunkIdx].load(std::memory_order_relaxed)) {
-        R.Status = ChunkStatus::Squashed;
-        break;
+    const bool Weighted = weighted();
+    // A local copy: T.step may store to memory, so comparing through
+    // Target would reload the prediction every iteration.
+    const bool HasTarget = Target != nullptr;
+    const LiveIn Successor = HasTarget ? *Target : LI;
+    // A budget of 0 still runs one iteration, as a budget of 1 does.
+    const uint64_t Budget =
+        Speculative ? std::max<uint64_t>(IterBudget, 1) : UINT64_MAX;
+    uint64_t Threshold = Cursor.nextThreshold();
+    uint64_t Work = 0, Iters = 0, SegmentEnd = 0;
+    for (;; ++Iters) {
+      if (Iters == SegmentEnd) {
+        if (Iters == Budget) {
+          R.Status = ChunkStatus::Runaway;
+          break;
+        }
+        if (Speculative &&
+            AbortFlags[ChunkIdx].load(std::memory_order_relaxed)) {
+          R.Status = ChunkStatus::Squashed;
+          break;
+        }
+        SegmentEnd = Iters + std::min(detail::AbortPollStride, Budget - Iters);
       }
       // Algorithm 2: bump the work counter, then memoize when a threshold
       // is crossed (before the detection check so a threshold equal to the
       // chunk length still fires and refreshes the successor's row).
-      uint64_t W = weightOf(LI);
-      R.Work += W;
-      if (unsigned Row = Cursor.shouldRecord(R.Work); Row != ~0u)
-        recordRow(Row, LI, R);
-      if (Target && LI == *Target) {
+      const uint64_t W = weightOf(LI, Weighted);
+      Work += W;
+      if (Work > Threshold) [[unlikely]] {
+        recordRow(Cursor.take(), LI, R);
+        Threshold = Cursor.nextThreshold();
+      }
+      if (HasTarget && LI == Successor) {
         R.Status = ChunkStatus::Matched;
-        R.Work -= W; // The matched iteration belongs to the successor.
+        Work -= W; // The matched iteration belongs to the successor.
         break;
       }
-      if (!T.step(LI, *R.S, Mem)) {
+      if (!T.step(LI, S, Mem)) {
         R.Status = ChunkStatus::Exited;
-        R.Work -= W; // Exit test only; no iteration executed.
-        break;
-      }
-      ++R.Iterations;
-      if (Speculative && R.Iterations >= IterBudget) {
-        R.Status = ChunkStatus::Runaway;
+        Work -= W; // Exit test only; no iteration executed.
         break;
       }
     }
+    R.Work = Work;
+    R.Iterations = Iters;
+    R.S = std::move(S);
     return R;
   }
 
@@ -427,8 +461,9 @@ private:
     ChunkResult Dummy;
     if (!UsePlan)
       Sampler.reset();
+    const bool Weighted = weighted();
     for (;;) {
-      uint64_t W = weightOf(LI);
+      uint64_t W = weightOf(LI, Weighted);
       Work += W;
       if (UsePlan) {
         if (unsigned Row = Cursor.shouldRecord(Work); Row != ~0u)

@@ -75,7 +75,7 @@ public:
   /// Convenience: a runtime with \p NumThreads threads and default
   /// cross-loop policy.
   explicit SpiceRuntime(unsigned NumThreads)
-      : SpiceRuntime(RuntimeConfig{NumThreads, {}}) {}
+      : SpiceRuntime(withThreads(NumThreads)) {}
 
   ~SpiceRuntime() {
     // Loud in every build type: both conditions leave dangling state
@@ -146,6 +146,13 @@ private:
   }
   void noteResolved() {
     OutstandingSubmissions.fetch_sub(1, std::memory_order_acq_rel);
+  }
+
+  /// The default configuration with \p NumThreads threads.
+  static RuntimeConfig withThreads(unsigned NumThreads) {
+    RuntimeConfig C;
+    C.NumThreads = NumThreads;
+    return C;
   }
 
   RuntimeConfig Config;

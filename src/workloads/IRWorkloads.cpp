@@ -428,10 +428,12 @@ void McfIR::mutate(vm::Memory &Mem) {
 }
 
 int64_t McfIR::resultDigest(const vm::Memory &Mem) const {
-  int64_t Digest = Mem.load(Mem.addressOf(Result));
+  // Hashed in uint64_t: the digest wraps, which int64_t must not.
+  uint64_t Digest = static_cast<uint64_t>(Mem.load(Mem.addressOf(Result)));
   for (int64_t Node : Nodes)
-    Digest = Digest * 1099511628211ll + Mem.load(Node + 5);
-  return Digest;
+    Digest = Digest * 1099511628211ull +
+             static_cast<uint64_t>(Mem.load(Node + 5));
+  return static_cast<int64_t>(Digest);
 }
 
 //===----------------------------------------------------------------------===//

@@ -140,8 +140,10 @@ void workloads::sjengEvalStep(SjengLiveIn &LI, SjengScore &S) {
   }
 
   LI.Phase += static_cast<int64_t>(P.Kind);
-  LI.RunningKey =
-      (LI.RunningKey * 0x100000001b3ll) ^ (P.Square + 64 * P.Flags);
+  // Multiplied in uint64_t: the key wraps, which int64_t must not.
+  const uint64_t Mixed =
+      static_cast<uint64_t>(LI.RunningKey) * 0x100000001b3ull;
+  LI.RunningKey = static_cast<int64_t>(Mixed) ^ (P.Square + 64 * P.Flags);
   LI.Cursor = P.Next;
 }
 

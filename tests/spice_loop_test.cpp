@@ -18,9 +18,11 @@
 #include "workloads/Otter.h"
 #include "workloads/Sjeng.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <vector>
 
 using namespace spice;
 using namespace spice::core;
@@ -609,4 +611,252 @@ TEST(PaperSchedule, K1StatsMatchRecordedValues) {
   EXPECT_EQ(S.ImbalanceSamples, 11u);
   EXPECT_DOUBLE_EQ(S.ChunkImbalanceSum, 15.541326059242595);
   EXPECT_EQ(S.ChunkImbalanceSamples, 11u);
+}
+
+//===----------------------------------------------------------------------===//
+// The chunk loop: memoization rows, runaway budget and weighted work
+//===----------------------------------------------------------------------===//
+
+/// The live-in at every loop head of a sequential run from \p LI: head i
+/// starts iteration i, and the last head is the exit test.
+template <typename Traits>
+std::vector<typename Traits::LiveIn> headSequence(Traits &T,
+                                                  typename Traits::LiveIn LI) {
+  std::vector<typename Traits::LiveIn> Heads{LI};
+  typename Traits::State S = T.initialState();
+  SpecSpace Direct;
+  while (T.step(LI, S, Direct))
+    Heads.push_back(LI);
+  return Heads;
+}
+
+/// Algorithm 2 replayed one iteration at a time over a fully validated
+/// invocation that starts its chunks at \p Pred: chunk C runs from its
+/// start to its successor's start (the last chunk to the exit) and, at
+/// every head, adds the head's weight and records at most one due row.
+template <typename LiveIn> struct ModelRows {
+  /// Every chunk start lies after its predecessor's.
+  bool InOrder = true;
+  /// Pred with the recorded rows overwritten.
+  std::vector<LiveIn> Rows;
+  /// Plan entries of each kind among the chunks that ran.
+  unsigned ZeroThresholds = 0;
+  unsigned EqualThresholds = 0;
+  unsigned ConsecutiveThresholds = 0;
+  /// Entries whose threshold lies past their chunk's end.
+  unsigned PastEnd = 0;
+  /// Rows recorded after the head they fell due.
+  unsigned Deferred = 0;
+};
+
+template <typename LiveIn, typename WeightFn>
+ModelRows<LiveIn> modelRows(const std::vector<LiveIn> &Heads,
+                            const std::vector<LiveIn> &Pred,
+                            const MemoizationPlan &Plan, WeightFn Weight) {
+  ModelRows<LiveIn> M;
+  M.Rows = Pred;
+  size_t Pos = 0;
+  for (size_t C = 0; C <= Pred.size(); ++C) {
+    size_t End = Heads.size() - 1;
+    if (C < Pred.size()) {
+      auto It = std::find(Heads.begin() + Pos, Heads.end(), Pred[C]);
+      if (It == Heads.end()) {
+        M.InOrder = false;
+        return M;
+      }
+      End = static_cast<size_t>(It - Heads.begin());
+    }
+    const std::vector<MemoEntry> &Entries = Plan.PerThread.at(C);
+    for (size_t E = 0; E != Entries.size(); ++E) {
+      M.ZeroThresholds += Entries[E].Threshold == 0;
+      if (E > 0) {
+        M.EqualThresholds += Entries[E].Threshold == Entries[E - 1].Threshold;
+        M.ConsecutiveThresholds +=
+            Entries[E].Threshold == Entries[E - 1].Threshold + 1;
+      }
+    }
+    uint64_t Work = 0;
+    size_t Next = 0;
+    for (size_t I = Pos; I <= End; ++I) {
+      const uint64_t W = Weight(Heads[I]);
+      Work += W;
+      if (Next < Entries.size() && Work > Entries[Next].Threshold) {
+        M.Deferred += Work - W > Entries[Next].Threshold;
+        M.Rows.at(Entries[Next++].Row) = Heads[I];
+      }
+    }
+    M.PastEnd += static_cast<unsigned>(Entries.size() - Next);
+    Pos = End;
+  }
+  return M;
+}
+
+TEST(ChunkLoop, UnitWorkRowsMatchPerIterationModel) {
+  // A short list against 16 chunks: lists shorter than the chunk count
+  // plan equal thresholds, slightly longer ones consecutive thresholds,
+  // balanced chunks a threshold of 0, and inserts and removals move
+  // chunk ends in front of thresholds planned from the last invocation.
+  ClauseList List(12, 41);
+  OtterTraits Traits;
+  SpiceRuntime RT(4);
+  LoopOptions O;
+  O.ChunksPerThread = 4;
+  auto Loop = RT.makeLoop(Traits, O);
+  RandomEngine Rng(42);
+  unsigned Checked = 0, Zero = 0, Equal = 0, Consecutive = 0, PastEnd = 0;
+  for (int I = 0; I != 160; ++I) {
+    const std::vector<Clause *> Pred = Loop.predictions();
+    // Model only invocations that start a chunk at every row.
+    const bool AllRows = Pred.size() + 1 == Loop.tuning().PlannedChunks;
+    ModelRows<Clause *> Want;
+    if (AllRows)
+      Want = modelRows(headSequence(Traits, List.head()), Pred,
+                       Loop.currentPlan(), [](Clause *) { return 1u; });
+    const uint64_t MissesBefore = Loop.stats().MisspeculatedInvocations;
+    OtterTraits::State Got = Loop.invoke(List.head());
+    ASSERT_EQ(Got.MinClause, List.findLightestReference());
+    if (AllRows && Want.InOrder) {
+      // Starts in list order validate every chunk, so the rows are a
+      // function of the plan and the list alone.
+      ASSERT_EQ(Loop.stats().MisspeculatedInvocations, MissesBefore)
+          << "invocation " << I;
+      ASSERT_EQ(Loop.predictions(), Want.Rows) << "invocation " << I;
+      ++Checked;
+      Zero += Want.ZeroThresholds;
+      Equal += Want.EqualThresholds;
+      Consecutive += Want.ConsecutiveThresholds;
+      PastEnd += Want.PastEnd;
+    }
+    // Random walk of the list length: up to 14 nodes for the first 80
+    // invocations, then up to 48. A removal never takes a predicted
+    // clause, so it squashes nothing by itself.
+    const size_t Cap = I < 80 ? 14 : 48;
+    const uint64_t Move = Rng.nextBelow(3);
+    if (Move == 0 && List.size() > 4) {
+      const std::vector<Clause *> Rows = Loop.predictions();
+      Clause *Victim = List.head()->Next;
+      for (uint64_t S = Rng.nextBelow(List.size() - 2); S != 0; --S)
+        Victim = Victim->Next;
+      if (std::find(Rows.begin(), Rows.end(), Victim) == Rows.end())
+        List.remove(Victim);
+    } else if (Move == 1 && List.size() < Cap) {
+      List.insertRandom();
+    }
+  }
+  EXPECT_GT(Checked, 50u);
+  EXPECT_GT(Zero, 0u);
+  EXPECT_GT(Equal, 0u);
+  EXPECT_GT(Consecutive, 0u);
+  EXPECT_GT(PastEnd, 0u);
+}
+
+TEST(ChunkLoop, RunawayStopsAtExactlyTheBudget) {
+  // The speculative chunk covers about 3000 iterations, more than any
+  // budget below, so it runs into the budget every invocation. Budgets
+  // that are not multiples of the abort-poll stride end mid-segment.
+  for (uint64_t Budget : {1u, 255u, 257u, 1000u}) {
+    SpiceRuntime RT(/*NumThreads=*/2);
+    const int64_t End = 6000;
+    LoopOptions O;
+    O.MaxSpecIterations = Budget;
+    auto Loop = LoopBuilder<int64_t, uint64_t>()
+                    .step([End](int64_t &I, uint64_t &S, SpecSpace &) {
+                      if (I >= End)
+                        return false;
+                      S += static_cast<uint64_t>(I);
+                      ++I;
+                      return true;
+                    })
+                    .combine([](uint64_t &Into, uint64_t &&Chunk) {
+                      Into += Chunk;
+                    })
+                    .options(O)
+                    .build(RT);
+    const uint64_t Sum = static_cast<uint64_t>(End) * (End - 1) / 2;
+    unsigned Runaways = 0;
+    for (int I = 0; I != 12 && Runaways != 3; ++I) {
+      const SpiceStats Before = Loop.stats();
+      const std::vector<int64_t> Pred = Loop.predictions();
+      ASSERT_EQ(Loop.invoke(0), Sum);
+      if (Pred.empty())
+        continue; // Sequential: the last runaway took its row with it.
+      ++Runaways;
+      const SpiceStats &S = Loop.stats();
+      EXPECT_EQ(S.MisspeculatedInvocations - Before.MisspeculatedInvocations,
+                1u)
+          << "budget " << Budget;
+      // The runaway chunk's iterations are all wasted; the main thread
+      // redoes its whole range sequentially.
+      EXPECT_EQ(S.WastedIterations - Before.WastedIterations, Budget)
+          << "budget " << Budget;
+      EXPECT_EQ(S.RecoveryIterations - Before.RecoveryIterations,
+                static_cast<uint64_t>(End - Pred[0]))
+          << "budget " << Budget;
+    }
+    EXPECT_EQ(Runaways, 3u) << "budget " << Budget;
+  }
+}
+
+TEST(ChunkLoop, WeightedRowsAndCountersMatchRecordedValues) {
+  // sjeng under the weighted work metric: a piece costs 1 to 12 units,
+  // so on the small board with 16 chunks one iteration can pass two
+  // thresholds (the second row is then recorded an iteration later). The
+  // board is fixed, so every chunk validates and the counters and rows
+  // below depend on the inputs alone; they were recorded before the
+  // chunk loop ran in segments.
+  struct Recorded {
+    unsigned K;
+    size_t Pieces;
+    double ImbalanceSum, ChunkImbalanceSum;
+    std::vector<size_t> RowHeads; ///< Head index of each final row.
+  };
+  const Recorded Cases[] = {
+      {1, 300, 7.2516240796881757, 7.2516240796881757, {24, 64, 116}},
+      {4, 40, 7.472668810289389, 10.59807073954984,
+       {0, 1, 2, 3, 3, 5, 6, 7, 9, 10, 12, 15, 17, 20, 30}}};
+  for (const Recorded &R : Cases) {
+    SjengBoard Board(R.Pieces, 83);
+    SjengTraits Traits;
+    SpiceRuntime RT(4);
+    LoopOptions O;
+    O.ChunksPerThread = R.K;
+    O.UseWeightedWork = true;
+    auto Loop = RT.makeLoop(Traits, O);
+    const std::vector<SjengLiveIn> Heads =
+        headSequence(Traits, Board.start());
+    const SjengScore Want = Board.evalReference();
+    unsigned Deferred = 0;
+    for (int I = 0; I != 8; ++I) {
+      const std::vector<SjengLiveIn> Pred = Loop.predictions();
+      ModelRows<SjengLiveIn> Model;
+      if (!Pred.empty())
+        Model = modelRows(Heads, Pred, Loop.currentPlan(),
+                          [&Traits](const SjengLiveIn &LI) {
+                            return Traits.weight(LI);
+                          });
+      ASSERT_EQ(Loop.invoke(Board.start()), Want);
+      if (!Pred.empty()) {
+        ASSERT_EQ(Loop.predictions(), Model.Rows)
+            << "k " << R.K << ", invocation " << I;
+        Deferred += Model.Deferred;
+      }
+    }
+    if (R.K == 4) {
+      EXPECT_GT(Deferred, 0u) << "no iteration passed two thresholds";
+    }
+    std::vector<size_t> RowHeads;
+    for (const SjengLiveIn &LI : Loop.predictions())
+      RowHeads.push_back(static_cast<size_t>(
+          std::find(Heads.begin(), Heads.end(), LI) - Heads.begin()));
+    EXPECT_EQ(RowHeads, R.RowHeads) << "k " << R.K;
+    const SpiceStats &S = Loop.stats();
+    EXPECT_EQ(S.TotalIterations, 8 * R.Pieces);
+    EXPECT_EQ(S.SequentialInvocations, 1u);
+    EXPECT_EQ(S.FullySpeculativeInvocations, 7u);
+    EXPECT_EQ(S.MisspeculatedInvocations, 0u);
+    EXPECT_EQ(S.WastedIterations, 0u);
+    EXPECT_DOUBLE_EQ(S.ImbalanceSum, R.ImbalanceSum) << "k " << R.K;
+    EXPECT_DOUBLE_EQ(S.ChunkImbalanceSum, R.ChunkImbalanceSum)
+        << "k " << R.K;
+  }
 }
