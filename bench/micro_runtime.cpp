@@ -18,7 +18,10 @@
 // jit_cache_hit_compile_ns (every warm re-lookup of the same key). The
 // chunk-execution phase is probed the same way: spec_chunk_ns_per_iter
 // (a node inside a speculative chunk) against seq_step_ns_per_iter (a
-// node of the plain sequential loop); reported, not gated.
+// node of the plain sequential loop), and the buffer's share of it:
+// buffered_step_ns_per_iter (a packet through a SpecWriteBuffer,
+// validate and commit included) against direct_step_ns_per_iter (the
+// same packet direct); reported, not gated.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +36,7 @@
 #include "transform/CanonicalLoop.h"
 #include "workloads/IRWorkloads.h"
 #include "workloads/Otter.h"
+#include "workloads/Packets.h"
 #include "workloads/Sjeng.h"
 
 #include <algorithm>
@@ -370,6 +374,49 @@ ChunkPhaseNanos chunkPhaseNanos(int Reps) {
   return R;
 }
 
+/// The speculative buffer's cost in ns per packet: half of a
+/// conflict_update-shaped trace (65536 packets over 4096 flows) through
+/// PacketPipeline::applyPacket, once against a SpecWriteBuffer that is
+/// then validated and committed, as a speculative chunk's is, and once
+/// direct, as chunk 0 and a promoted chunk run.
+struct BufferCostNanos {
+  double BufferedPerIter = 0;
+  double DirectPerIter = 0;
+};
+
+BufferCostNanos bufferCostNanos(int Reps) {
+  constexpr size_t Packets = 65536;
+  workloads::PacketPipeline P(/*NumFlows=*/4096, /*NumBuckets=*/1024,
+                              Packets, /*Seed=*/1);
+  P.generateTrace(Packets);
+  const workloads::Packet *Begin = P.traceBegin();
+  const size_t Half = P.traceLength() / 2;
+  auto RunHalf = [&](SpecSpace &Mem) {
+    workloads::PacketState S;
+    for (const workloads::Packet *Pk = Begin; Pk != Begin + Half; ++Pk)
+      workloads::PacketPipeline::applyPacket(
+          *Pk, P.table().lookup(Pk->FlowKey), S, Mem);
+    benchmark::DoNotOptimize(S);
+  };
+  SpecWriteBuffer Buf;
+  BufferCostNanos R;
+  R.BufferedPerIter =
+      static_cast<double>(medianOpNanos(Reps, 1, [&] {
+        SpecSpace Mem(&Buf);
+        RunHalf(Mem);
+        benchmark::DoNotOptimize(Buf.validateReads());
+        Buf.commit();
+      })) /
+      static_cast<double>(Half);
+  R.DirectPerIter =
+      static_cast<double>(medianOpNanos(Reps, 1, [&] {
+        SpecSpace Mem;
+        RunHalf(Mem);
+      })) /
+      static_cast<double>(Half);
+  return R;
+}
+
 /// Hand-timed median of \p Reps submit().get() round trips (ns), solo or
 /// against a contending background client. google-benchmark reports the
 /// same numbers interactively; this feeds the flat BENCH_*.json artifact
@@ -503,6 +550,9 @@ int main(int argc, char **argv) {
   const ChunkPhaseNanos Chunk = chunkPhaseNanos(Bench.pick(60, 10));
   Json.scalar("spec_chunk_ns_per_iter", Chunk.SpecChunkPerIter);
   Json.scalar("seq_step_ns_per_iter", Chunk.SeqStepPerIter);
+  const BufferCostNanos BufCost = bufferCostNanos(Bench.pick(60, 10));
+  Json.scalar("buffered_step_ns_per_iter", BufCost.BufferedPerIter);
+  Json.scalar("direct_step_ns_per_iter", BufCost.DirectPerIter);
   Json.write();
   return 0;
 }

@@ -315,8 +315,14 @@ struct SpiceStats {
   uint64_t TotalIterations = 0;
   uint64_t SquashedThreads = 0;
   uint64_t LaunchedSpecThreads = 0;
-  /// Squashes caused by read-validation (conflict) failures.
+  /// Squashes caused by read-validation (conflict) failures, at commit
+  /// or at a promotion.
   uint64_t ConflictSquashes = 0;
+  /// Committed speculative chunks that were promoted while running: once
+  /// their predecessor committed they published their buffer and ran the
+  /// rest of their range direct. Depends on timing (a chunk that ends
+  /// before its predecessor commits is never promoted).
+  uint64_t PromotedChunks = 0;
   /// Iterations re-executed after a validated chunk failed (serially on
   /// the main thread, or concurrently as recovery chunks).
   uint64_t RecoveryIterations = 0;

@@ -74,15 +74,26 @@
 ///  * a natural loop exit in chunk i means chunks i+1.. mis-speculated:
 ///    they are squashed via cooperative resteer and their buffered stores
 ///    are discarded. A chunk runs in segments of detail::AbortPollStride
-///    (256) iterations and polls its abort flag at each segment head, so
-///    a squashed chunk stops within one stride;
+///    (256) iterations and polls its signal word (run / promote / abort)
+///    at each segment head, so a squashed chunk stops within one stride;
+///  * promotion: once chunk J-1 has committed and J's start is
+///    validated, no older chunk is running, so the resolving thread
+///    signals J to promote. At its next segment head J validates its
+///    logged reads, commits its buffer and runs the rest of its range
+///    direct and without the MaxSpecIterations budget, as chunk 0 does;
+///    the resolving thread then has nothing left to validate or commit
+///    for it. A promotion-time validation failure stops J there and is
+///    recovered like a failed commit-time validation. A promoted chunk's
+///    direct stores, like chunk 0's, are not rolled back when an
+///    exception unwinds the invocation;
 ///  * every chunk runs Algorithm 2 re-memoization driven by the plan the
 ///    central component computed from the previous invocation's work
 ///    counters (dynamic load balancing);
 ///  * speculative chunks buffer stores in a per-chunk SpecWriteBuffer;
 ///    with conflict detection enabled their reads are value-validated at
 ///    commit (commits are ordered, performed by the resolving main
-///    thread), and a failed validation squashes the chunk;
+///    thread or, once promoted, by the chunk itself), and a failed
+///    validation squashes the chunk;
 ///  * recovery: with ChunksPerThread == 1 a failed validated chunk
 ///    triggers the paper's sequential re-execution of the remainder. With
 ///    oversubscription the failed chunk is instead re-enqueued as a
@@ -329,7 +340,13 @@ private:
     Exited,  ///< Reached the natural loop exit.
     Squashed,///< Aborted by the runtime (mis-speculation upstream of us).
     Runaway, ///< Hit MaxSpecIterations (stale-pointer cycle guard).
+    Conflict,///< Promotion-time read validation failed: stopped there.
   };
+
+  /// What the resolving thread tells a speculative chunk; polled once per
+  /// segment head. Run is the launch state; Promote publishes the buffer
+  /// and switches the chunk to direct stores; Abort squashes it.
+  enum class ChunkSignal : uint8_t { Run, Promote, Abort };
 
   /// Where a chunk of the running invocation is. 32 bits: the resolving
   /// thread parks on it (detail::ParkWord is a futex word).
@@ -340,6 +357,9 @@ private:
     uint64_t Work = 0;
     uint64_t Iterations = 0;
     bool Stolen = false; ///< Executed off its home lane (steal or help).
+    /// Published its buffer at a promotion and ran on direct: nothing
+    /// left to validate or commit.
+    bool Promoted = false;
     std::optional<State> S;
     std::vector<unsigned> WrittenRows;
   };
@@ -381,9 +401,9 @@ private:
   ///
   /// The loop runs in segments of at most detail::AbortPollStride
   /// iterations. Only a segment head checks the budget and polls the
-  /// abort flag; state and counters stay in locals until the chunk ends.
-  /// An iteration is the compare of the work counter against the held
-  /// memoization threshold, the detection compare and T.step.
+  /// chunk's signal word; state and counters stay in locals until the
+  /// chunk ends. An iteration is the compare of the work counter against
+  /// the held memoization threshold, the detection compare and T.step.
   ChunkResult runChunk(LiveIn LI, const LiveIn *Target, unsigned ChunkIdx,
                        MemoCursor Cursor, uint64_t IterBudget) {
     ChunkResult R;
@@ -397,7 +417,7 @@ private:
     const bool HasTarget = Target != nullptr;
     const LiveIn Successor = HasTarget ? *Target : LI;
     // A budget of 0 still runs one iteration, as a budget of 1 does.
-    const uint64_t Budget =
+    uint64_t Budget =
         Speculative ? std::max<uint64_t>(IterBudget, 1) : UINT64_MAX;
     uint64_t Threshold = Cursor.nextThreshold();
     uint64_t Work = 0, Iters = 0, SegmentEnd = 0;
@@ -407,10 +427,23 @@ private:
           R.Status = ChunkStatus::Runaway;
           break;
         }
-        if (Speculative &&
-            AbortFlags[ChunkIdx].load(std::memory_order_relaxed)) {
-          R.Status = ChunkStatus::Squashed;
-          break;
+        if (Speculative) {
+          // Acquire: a promoted chunk must see its predecessors' stores.
+          const ChunkSignal Sig =
+              Signals[ChunkIdx].load(std::memory_order_acquire);
+          if (Sig == ChunkSignal::Abort) {
+            R.Status = ChunkStatus::Squashed;
+            break;
+          }
+          if (Sig == ChunkSignal::Promote && !R.Promoted) {
+            if (!publish(specBuf(ChunkIdx))) {
+              R.Status = ChunkStatus::Conflict;
+              break;
+            }
+            R.Promoted = true;
+            Mem = SpecSpace();
+            Budget = UINT64_MAX;
+          }
         }
         SegmentEnd = Iters + std::min(detail::AbortPollStride, Budget - Iters);
       }
@@ -438,6 +471,17 @@ private:
     R.Iterations = Iters;
     R.S = std::move(S);
     return R;
+  }
+
+  /// Promotion of a chunk whose predecessors have all committed:
+  /// validates its logged reads against memory (which now holds every
+  /// older store) and publishes its buffered stores. False on a conflict;
+  /// the buffer is then left for the resolving thread to discard.
+  bool publish(SpecWriteBuffer &Buf) {
+    if (Config.EnableConflictDetection && !Buf.validateReads())
+      return false;
+    Buf.commit();
+    return true;
   }
 
   void recordRow(unsigned Row, const LiveIn &LI, ChunkResult &R) {
@@ -517,7 +561,7 @@ private:
   }
 
   /// Iteration cap for speculative chunks the resolving main thread
-  /// executes inline. Main is the only writer of the abort flags, so
+  /// executes inline. Main is the only writer of the signal words, so
   /// while it runs a chunk nobody can squash that chunk; an unbounded
   /// mis-predicted chunk (stale-pointer cycle) would stall resolution
   /// for Config.MaxSpecIterations. A healthy chunk is about
@@ -812,7 +856,7 @@ private:
     PredArena.assign(SVA.begin(), SVA.begin() + ActiveChunks);
     bindChunkBuffers(ActiveChunks, S);
     for (unsigned I = 0; I <= ActiveChunks; ++I) {
-      AbortFlags[I].store(false, std::memory_order_relaxed);
+      Signals[I].store(ChunkSignal::Run, std::memory_order_relaxed);
       Progress[I].Value.store(ChunkProgress::Queued,
                               std::memory_order_relaxed);
       specBuf(I).clear();
@@ -928,7 +972,7 @@ private:
       unsigned ActiveChunks;
       ~SessionJoiner() {
         for (unsigned I = 0; I <= ActiveChunks; ++I)
-          L.AbortFlags[I].store(true, std::memory_order_relaxed);
+          L.Signals[I].store(ChunkSignal::Abort, std::memory_order_relaxed);
         S.closeQueues();
         S.wait();
         // Safe only here: the join above is what guarantees no worker
@@ -985,7 +1029,14 @@ private:
     Work[0] = Results[0]->Work;
     Stats.TotalIterations += Results[0]->Iterations;
 
+    // Release: the promoted chunk's acquire at its segment head makes
+    // every committed store (chunk 0's direct ones included) visible.
+    auto Promote = [&](unsigned J) {
+      Signals[J].store(ChunkSignal::Promote, std::memory_order_release);
+    };
     bool PrevMatched = Results[0]->Status == ChunkStatus::Matched;
+    if (PrevMatched)
+      Promote(1);
     unsigned Committed = 0;     // Highest committed speculative chunk.
     unsigned RecoverFrom = ~0u; // Chunk to re-execute serially (legacy).
     bool AnyFailure = false;    // A validated chunk failed and was redone.
@@ -994,17 +1045,20 @@ private:
     for (unsigned J = 1; J <= ActiveChunks;) {
       if (!PrevMatched) {
         // Chunk J's start was never seen: mis-speculation. Squash.
-        AbortFlags[J].store(true, std::memory_order_relaxed);
+        Signals[J].store(ChunkSignal::Abort, std::memory_order_relaxed);
         ++J;
         continue;
       }
-      // Chunk J's start was validated, so it terminates by itself.
+      // Chunk J's start was validated and J promoted, so it terminates
+      // by itself.
       WaitForChunk(J);
       ChunkResult &R = *Results[J];
       bool Healthy =
           R.Status == ChunkStatus::Matched || R.Status == ChunkStatus::Exited;
-      bool ReadsOk = !Config.EnableConflictDetection ||
-                     specBuf(J).validateReads();
+      // A promoted chunk validated and published its buffer itself.
+      bool ReadsOk = R.Status != ChunkStatus::Conflict &&
+                     (R.Promoted || !Config.EnableConflictDetection ||
+                      specBuf(J).validateReads());
       if (!Healthy || !ReadsOk) {
         if (!ReadsOk)
           ++Stats.ConflictSquashes;
@@ -1026,7 +1080,9 @@ private:
           Results[J].reset();
           Progress[J].Value.store(ChunkProgress::Queued,
                                   std::memory_order_relaxed);
-          AbortFlags[J].store(false, std::memory_order_relaxed);
+          // Still the oldest chunk: the re-execution runs direct from
+          // its first segment head.
+          Promote(J);
           // Front of the lane: J blocks the whole commit chain, so it
           // must run before any more-speculative pending chunk.
           Session.pushChunkFront(homeLane(J, Lanes), J);
@@ -1036,11 +1092,14 @@ private:
         // from J on is redone sequentially by the main thread.
         RecoverFrom = J;
         PrevMatched = false;
-        AbortFlags[J].store(true, std::memory_order_relaxed);
+        Signals[J].store(ChunkSignal::Abort, std::memory_order_relaxed);
         ++J;
         continue;
       }
-      specBuf(J).commit();
+      if (R.Promoted)
+        ++Stats.PromotedChunks;
+      else
+        specBuf(J).commit();
       T.combine(Merged, std::move(*R.S));
       Work[J] = R.Work;
       Stats.TotalIterations += R.Iterations;
@@ -1054,6 +1113,8 @@ private:
       Committed = J;
       PrevMatched = R.Status == ChunkStatus::Matched;
       ++J;
+      if (PrevMatched && J <= ActiveChunks)
+        Promote(J);
     }
     // Exhaustiveness: the chain either commits through a chunk that
     // Exited (loop complete), stops at a squash whose predecessor Exited
@@ -1271,7 +1332,7 @@ private:
                          static_cast<size_t>(2 * NumChunks))),
         SVA(NumChunks > 1 ? NumChunks - 1 : 0), RowValid(SVA.size(), 0),
         Buffers(NumChunks),
-        AbortFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
+        Signals(std::make_unique<std::atomic<ChunkSignal>[]>(NumChunks)),
         Progress(std::make_unique<detail::ParkWord<ChunkProgress>[]>(
             NumChunks)),
         Results(NumChunks) {
@@ -1338,7 +1399,9 @@ private:
   /// (node, buffer) pairs drawn from the pool's node shards for the
   /// in-flight invocation; empty whenever no invocation is bound.
   std::vector<std::pair<unsigned, SpecWriteBuffer *>> DrawnBufs;
-  std::unique_ptr<std::atomic<bool>[]> AbortFlags;
+  /// Per-chunk signal word (ChunkSignal), written by the resolving
+  /// thread and polled by the chunk at each segment head.
+  std::unique_ptr<std::atomic<ChunkSignal>[]> Signals;
   /// Per-chunk progress, written by whoever executes the chunk; the
   /// resolving thread waits on it in WaitForChunk.
   std::unique_ptr<detail::ParkWord<ChunkProgress>[]> Progress;

@@ -125,11 +125,11 @@ inline constexpr unsigned SpinBeforePark = 512;
 /// roughly 1 ms by which a conflict_update chunk outlasts chunk 0.
 inline constexpr std::chrono::microseconds YieldBeforePark{100};
 
-/// Iterations a speculative chunk runs between two polls of its abort
-/// flag (SpiceLoop::runChunk), and so the most a squashed chunk runs on
-/// before it stops. At a few ns per otter iteration the poll drops out
-/// of the per-iteration cost, and a squashed otter chunk stops within
-/// about a microsecond.
+/// Iterations a speculative chunk runs between two polls of its signal
+/// word (SpiceLoop::runChunk), and so the most a squashed chunk runs on
+/// before it stops, or a signalled chunk before it is promoted. At a
+/// few ns per otter iteration the poll drops out of the per-iteration
+/// cost, and a squashed otter chunk stops within about a microsecond.
 inline constexpr uint64_t AbortPollStride = 256;
 
 /// One spin-wait step: a pause hint where the ISA has one.

@@ -19,9 +19,14 @@
 #include "workloads/Sjeng.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 using namespace spice;
@@ -750,19 +755,36 @@ TEST(ChunkLoop, UnitWorkRowsMatchPerIterationModel) {
   EXPECT_GT(PastEnd, 0u);
 }
 
+/// Yield-spins until \p Done() holds, for at most ten seconds: a runtime
+/// that never gets there fails the test's assertions instead of hanging.
+template <typename Pred> void waitUntil(Pred Done) {
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!Done() && std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+}
+
 TEST(ChunkLoop, RunawayStopsAtExactlyTheBudget) {
   // The speculative chunk covers about 3000 iterations, more than any
   // budget below, so it runs into the budget every invocation. Budgets
   // that are not multiples of the abort-poll stride end mid-segment.
+  // Chunk 0 holds its last iteration until the speculative chunk has
+  // run its budget: a chunk promoted before that would run on direct.
   for (uint64_t Budget : {1u, 255u, 257u, 1000u}) {
     SpiceRuntime RT(/*NumThreads=*/2);
     const int64_t End = 6000;
     LoopOptions O;
     O.MaxSpecIterations = Budget;
+    std::atomic<uint64_t> SpecSteps{0};
+    int64_t HoldAt = -1; // Chunk 0's last iteration.
     auto Loop = LoopBuilder<int64_t, uint64_t>()
-                    .step([End](int64_t &I, uint64_t &S, SpecSpace &) {
+                    .step([&](int64_t &I, uint64_t &S, SpecSpace &Mem) {
                       if (I >= End)
                         return false;
+                      if (Mem.isSpeculative())
+                        SpecSteps.fetch_add(1);
+                      else if (I == HoldAt)
+                        waitUntil([&] { return SpecSteps.load() >= Budget; });
                       S += static_cast<uint64_t>(I);
                       ++I;
                       return true;
@@ -777,6 +799,8 @@ TEST(ChunkLoop, RunawayStopsAtExactlyTheBudget) {
     for (int I = 0; I != 12 && Runaways != 3; ++I) {
       const SpiceStats Before = Loop.stats();
       const std::vector<int64_t> Pred = Loop.predictions();
+      SpecSteps.store(0);
+      HoldAt = Pred.empty() ? -1 : Pred[0] - 1;
       ASSERT_EQ(Loop.invoke(0), Sum);
       if (Pred.empty())
         continue; // Sequential: the last runaway took its row with it.
@@ -795,6 +819,62 @@ TEST(ChunkLoop, RunawayStopsAtExactlyTheBudget) {
     }
     EXPECT_EQ(Runaways, 3u) << "budget " << Budget;
   }
+}
+
+TEST(ChunkLoop, PromotedChunkRunsPastTheBudget) {
+  // The speculative chunk covers about 3000 iterations against a budget
+  // of 1000. Its first iteration waits until chunk 0 has run its last
+  // one, plus a margin for the resolving thread to commit chunk 0 and
+  // signal the promotion, which the chunk then sees at its segment head
+  // at 256. Promoted, it drops the budget and completes without a
+  // Runaway. A resolving thread slower than the margin leaves the chunk
+  // to run away; that invocation is still correct and is not counted.
+  SpiceRuntime RT(/*NumThreads=*/2);
+  const int64_t End = 6000;
+  LoopOptions O;
+  O.MaxSpecIterations = 1000;
+  std::atomic<bool> Chunk0Done{false};
+  int64_t Boundary = -1; // The speculative chunk's predicted start.
+  auto Loop = LoopBuilder<int64_t, uint64_t>()
+                  .step([&](int64_t &I, uint64_t &S, SpecSpace &Mem) {
+                    if (I >= End)
+                      return false;
+                    if (!Mem.isSpeculative() && I == Boundary - 1) {
+                      Chunk0Done.store(true);
+                    } else if (Mem.isSpeculative() && I == Boundary) {
+                      waitUntil([&] { return Chunk0Done.load(); });
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(2));
+                    }
+                    S += static_cast<uint64_t>(I);
+                    ++I;
+                    return true;
+                  })
+                  .combine([](uint64_t &Into, uint64_t &&Chunk) {
+                    Into += Chunk;
+                  })
+                  .options(O)
+                  .build(RT);
+  const uint64_t Sum = static_cast<uint64_t>(End) * (End - 1) / 2;
+  unsigned Promoted = 0;
+  for (int I = 0; I != 12 && Promoted != 3; ++I) {
+    const SpiceStats Before = Loop.stats();
+    const std::vector<int64_t> Pred = Loop.predictions();
+    Chunk0Done.store(false);
+    Boundary = Pred.empty() ? -1 : Pred[0];
+    ASSERT_EQ(Loop.invoke(0), Sum);
+    const SpiceStats &S = Loop.stats();
+    if (S.PromotedChunks == Before.PromotedChunks)
+      continue;
+    ++Promoted;
+    ASSERT_GT(End - Boundary, 1000) << "the chunk fits in the budget";
+    EXPECT_EQ(S.MisspeculatedInvocations, Before.MisspeculatedInvocations);
+    EXPECT_EQ(S.WastedIterations, Before.WastedIterations);
+    EXPECT_EQ(S.RecoveryIterations, Before.RecoveryIterations);
+    EXPECT_EQ(S.TotalIterations - Before.TotalIterations,
+              static_cast<uint64_t>(End));
+  }
+  EXPECT_EQ(Promoted, 3u);
 }
 
 TEST(ChunkLoop, WeightedRowsAndCountersMatchRecordedValues) {
@@ -859,4 +939,180 @@ TEST(ChunkLoop, WeightedRowsAndCountersMatchRecordedValues) {
     EXPECT_DOUBLE_EQ(S.ChunkImbalanceSum, R.ChunkImbalanceSum)
         << "k " << R.K;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Promotion: the oldest running chunk publishes its buffer and runs direct
+//===----------------------------------------------------------------------===//
+
+/// A conflict-detected loop over cells [I, N): iteration I stores Out[I]
+/// = In[I], plus Out[I-1] where Dep[I] is set, all through the
+/// SpecSpace, and records whether it ran direct. One invocation can be
+/// gated around the speculative chunk that starts at Boundary: chunk 0's
+/// last iteration waits until that chunk has run its first iteration
+/// buffered, and the chunk's first execution then holds its second
+/// iteration until it is promoted. Each held pass is an iteration that
+/// changes nothing; at the next segment head the chunk sees the
+/// promotion.
+struct PromotionLoop {
+  explicit PromotionLoop(int64_t N)
+      : N(N), In(N), Out(N, 0), Dep(N, 0),
+        Direct(std::make_unique<std::atomic<uint8_t>[]>(N)) {
+    for (int64_t I = 0; I != N; ++I)
+      In[I] = I % 7 + 1;
+  }
+
+  using Loop = LambdaLoop<int64_t, int64_t>;
+
+  Loop build(SpiceRuntime &RT, unsigned K) {
+    LoopOptions O;
+    O.ChunksPerThread = K;
+    O.EnableConflictDetection = true;
+    return LoopBuilder<int64_t, int64_t>()
+        .step([this](int64_t &I, int64_t &S, SpecSpace &Mem) {
+          return step(I, S, Mem);
+        })
+        .combine([](int64_t &Into, int64_t &&Chunk) { Into += Chunk; })
+        .options(O)
+        .build(RT);
+  }
+
+  bool step(int64_t &I, int64_t &S, SpecSpace &Mem) {
+    if (I >= N)
+      return false;
+    const bool Spec = Mem.isSpeculative();
+    if (Boundary >= 0) {
+      if (!Spec && I == Boundary - 1)
+        waitUntil([this] { return SpecStarted.load(); });
+      if (I == Boundary)
+        ++Starts;
+      if (Spec && I == Boundary + 1 && Starts == 1) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        return true; // Held: the same iteration again.
+      }
+    }
+    int64_t V = Mem.read(&In[I]);
+    if (Dep[I])
+      V += Mem.read(&Out[I - 1]);
+    Mem.write(&Out[I], V);
+    S += V;
+    Direct[I].store(!Spec);
+    if (Spec && I == Boundary)
+      SpecStarted.store(true);
+    ++I;
+    return true;
+  }
+
+  /// The sequential result from \p Start on fresh output cells.
+  int64_t oracle(int64_t Start, std::vector<int64_t> &WantOut) const {
+    WantOut.assign(N, 0);
+    int64_t S = 0;
+    for (int64_t I = Start; I != N; ++I) {
+      WantOut[I] = In[I] + (Dep[I] ? WantOut[I - 1] : 0);
+      S += WantOut[I];
+    }
+    return S;
+  }
+
+  const int64_t N;
+  std::vector<int64_t> In, Out;
+  std::vector<uint8_t> Dep;
+  std::unique_ptr<std::atomic<uint8_t>[]> Direct;
+  int64_t Boundary = -1;
+  std::atomic<bool> SpecStarted{false};
+  std::atomic<unsigned> Starts{0};
+};
+
+/// One gated invocation of a PromotionLoop.
+struct GatedRun {
+  int64_t Boundary = 0; ///< The gated chunk's start.
+  int64_t End = 0;      ///< Its end: the next chunk's start, or N.
+  SpiceStats Before, After;
+};
+
+/// Warms a loop with \p K chunks per thread on 2 threads with one
+/// sequential invocation, then runs one gated invocation whose chunk 0
+/// is 8 iterations long, on fresh output cells, and checks it against
+/// the oracle. With \p Conflict the gated chunk's first iteration reads
+/// the cell chunk 0's last iteration writes.
+GatedRun runGated(PromotionLoop &P, unsigned K, bool Conflict) {
+  SpiceRuntime RT(/*NumThreads=*/2);
+  auto Loop = P.build(RT, K);
+  GatedRun G;
+  Loop.invoke(0);
+  const std::vector<int64_t> Pred = Loop.predictions();
+  EXPECT_FALSE(Pred.empty());
+  if (Pred.empty())
+    return G;
+  G.Boundary = Pred[0];
+  G.End = Pred.size() > 1 ? Pred[1] : P.N;
+  const int64_t Start = G.Boundary - 8;
+  P.Dep[G.Boundary] = Conflict;
+  std::fill(P.Out.begin(), P.Out.end(), 0);
+  P.Boundary = G.Boundary;
+  G.Before = Loop.stats();
+  const int64_t Got = Loop.invoke(Start);
+  G.After = Loop.stats();
+  P.Boundary = -1;
+  std::vector<int64_t> WantOut;
+  EXPECT_EQ(Got, P.oracle(Start, WantOut));
+  EXPECT_EQ(P.Out, WantOut);
+  return G;
+}
+
+TEST(Promotion, ChunkRunsOnDirectOncePromoted) {
+  // Chunk 0 is 8 iterations and waits for the speculative chunk to run
+  // its first iteration buffered, so that chunk is promoted mid-run: it
+  // publishes the buffered store and writes the rest of its range
+  // direct.
+  for (unsigned K : {1u, 4u}) {
+    SCOPED_TRACE("k " + std::to_string(K));
+    PromotionLoop P(16384);
+    const GatedRun G = runGated(P, K, /*Conflict=*/false);
+    ASSERT_GT(G.End - G.Boundary, 2);
+    EXPECT_EQ(G.After.MisspeculatedInvocations,
+              G.Before.MisspeculatedInvocations);
+    EXPECT_GT(G.After.PromotedChunks, G.Before.PromotedChunks);
+    EXPECT_EQ(P.Direct[G.Boundary].load(), 0) << "first iteration buffered";
+    for (int64_t I = G.Boundary + 1; I != G.End; ++I)
+      ASSERT_EQ(P.Direct[I].load(), 1) << "iteration " << I;
+  }
+}
+
+/// The speculative chunk reads the cell chunk 0's last iteration writes
+/// before chunk 0 writes it, so its promotion-time validation fails and
+/// it stops at that segment head instead of running its whole range.
+GatedRun runConflictAtPromotion(PromotionLoop &P, unsigned K) {
+  GatedRun G = runGated(P, K, /*Conflict=*/true);
+  const uint64_t Length = static_cast<uint64_t>(G.End - G.Boundary);
+  EXPECT_EQ(G.After.ConflictSquashes - G.Before.ConflictSquashes, 1u);
+  EXPECT_EQ(G.After.MisspeculatedInvocations -
+                G.Before.MisspeculatedInvocations,
+            1u);
+  const uint64_t Wasted = G.After.WastedIterations - G.Before.WastedIterations;
+  EXPECT_GT(Wasted, 0u);
+  EXPECT_LT(Wasted, Length);
+  return G;
+}
+
+TEST(Promotion, ConflictAtPromotionRecoversSerially) {
+  // k = 1: the resolving thread redoes the rest of the loop.
+  PromotionLoop P(16384);
+  const GatedRun G = runConflictAtPromotion(P, 1);
+  EXPECT_EQ(G.After.RecoveryChunks, 0u);
+  EXPECT_EQ(G.After.RecoveryIterations - G.Before.RecoveryIterations,
+            static_cast<uint64_t>(P.N - G.Boundary));
+}
+
+TEST(Promotion, ConflictAtPromotionRequeuesTheChunkPromoted) {
+  // k = 4: the chunk is requeued still promoted, so its re-execution
+  // runs direct from its first segment head.
+  PromotionLoop P(16384);
+  const GatedRun G = runConflictAtPromotion(P, 4);
+  EXPECT_EQ(G.After.RecoveryChunks - G.Before.RecoveryChunks, 1u);
+  EXPECT_EQ(G.After.RecoveryIterations - G.Before.RecoveryIterations,
+            static_cast<uint64_t>(G.End - G.Boundary));
+  EXPECT_GT(G.After.PromotedChunks, G.Before.PromotedChunks);
+  for (int64_t I = G.Boundary; I != G.End; ++I)
+    ASSERT_EQ(P.Direct[I].load(), 1) << "iteration " << I;
 }
