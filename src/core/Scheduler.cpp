@@ -51,19 +51,47 @@ void Scheduler::noteRemovedLocked(const Entry &E) {
   }
 }
 
+namespace {
+uint64_t microsBetween(Scheduler::Clock::time_point From,
+                       Scheduler::Clock::time_point To) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(To - From)
+          .count());
+}
+} // namespace
+
+uint64_t Scheduler::noteGrantedLocked(const Entry &E, unsigned Lanes,
+                                      Clock::time_point Now) {
+  if (E.Immediate)
+    ++St.ImmediateGrants;
+  else
+    ++St.DeferredGrants;
+  if (Policy == LanePolicy::Adaptive)
+    ++St.AdaptiveGrants;
+  if (Lanes > 0 && Lanes < E.R.RequestedLanes)
+    ++St.CappedGrants;
+  const uint64_t Waited =
+      E.Immediate ? 0 : microsBetween(E.Enqueued, E.Claimed.value_or(Now));
+  St.TotalQueuedMicros += Waited;
+  noteRemovedLocked(E);
+  return Waited;
+}
+
+std::deque<Scheduler::Entry>::iterator Scheduler::findLocked(uint64_t Ticket) {
+  return std::find_if(Queue.begin(), Queue.end(),
+                      [Ticket](const Entry &E) { return E.Ticket == Ticket; });
+}
+
 void Scheduler::sweepExpiredLocked(
     Clock::time_point Now, std::vector<std::function<void()>> &Drops) {
   for (size_t I = 0; I != Queue.size();) {
     Entry &E = Queue[I];
     // Immediate entries are exempt: the submission that enqueued them is
     // still inside its own grant pass, which must get first shot even at
-    // a zero deadline.
-    bool Expired =
-        !E.Immediate && E.R.DeadlineMicros > 0 &&
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Now - E.Enqueued)
-                .count()) >= E.R.DeadlineMicros;
+    // a zero deadline. Claimed entries are exempt too: their chunk 0 is
+    // already running.
+    bool Expired = !E.Immediate && !E.Claimed && E.R.DeadlineMicros > 0 &&
+                   microsBetween(E.Enqueued, Now) >= E.R.DeadlineMicros;
     if (!Expired) {
       ++I;
       continue;
@@ -87,9 +115,9 @@ uint64_t Scheduler::submit(Request R) {
     if (overCapLocked(R)) {
       switch (Overload) {
       case OverloadPolicy::Block:
-        // Self-deadlock diagnostic, same shape as awaitGrant's: room is
-        // only made by grants, grants need lanes, and every lane is
-        // leased to this thread's own (parked) stack.
+        // Self-deadlock diagnostic: room is only made by grants, grants
+        // need lanes, and every lane is leased to this thread's own
+        // (parked) stack.
         if (Pool.callerHoldsEntirePool())
           reportFatalError(
               "Scheduler::submit would deadlock waiting for queue "
@@ -120,8 +148,8 @@ uint64_t Scheduler::submit(Request R) {
     St.HighWaterQueueDepth =
         std::max<uint64_t>(St.HighWaterQueueDepth, QueuedInvs);
     ++St.Submitted;
-    Queue.push_back(
-        Entry{std::move(R), Clock::now(), Ticket, /*Immediate=*/true});
+    Queue.push_back(Entry{std::move(R), Clock::now(), Ticket,
+                          /*Immediate=*/true, /*Claimed=*/std::nullopt});
   }
   for (auto &D : Drops)
     D();
@@ -132,18 +160,34 @@ uint64_t Scheduler::submit(Request R) {
   // Immediate until *its* submit() finishes its own pass, keeping the
   // ImmediateGrants / QueuedMicros==0 definition exact per request.
   std::lock_guard<std::mutex> Lock(M);
-  for (Entry &E : Queue)
-    if (E.Ticket == Ticket)
-      E.Immediate = false;
+  if (auto It = findLocked(Ticket); It != Queue.end())
+    It->Immediate = false;
   return Ticket;
 }
 
-bool Scheduler::isQueued(uint64_t Ticket) const {
+bool Scheduler::claim(uint64_t Ticket) {
   std::lock_guard<std::mutex> Lock(M);
-  for (const Entry &E : Queue)
-    if (E.Ticket == Ticket)
-      return true;
-  return false;
+  auto It = findLocked(Ticket);
+  if (It == Queue.end())
+    return false;
+  It->Claimed = Clock::now();
+  return true;
+}
+
+std::optional<uint64_t> Scheduler::withdraw(uint64_t Ticket) {
+  uint64_t Waited;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    auto It = findLocked(Ticket);
+    if (It == Queue.end())
+      return std::nullopt;
+    ++St.InlineGrants;
+    Waited = noteGrantedLocked(*It, /*Lanes=*/0, Clock::now());
+    Queue.erase(It);
+  }
+  // The removal made room below the caps.
+  CapCV.notify_all();
+  return Waited;
 }
 
 void Scheduler::onLanesFreed() { runGrants(); }
@@ -423,23 +467,7 @@ void Scheduler::runGrants() {
       WorkerPool::SessionHandle S = Pool.tryAcquireSessionFor(
           E.R.RequestedLanes, E.R.AllowStealing, E.R.Owner);
       if (S) {
-        if (E.Immediate)
-          ++St.ImmediateGrants;
-        else
-          ++St.DeferredGrants;
-        if (Policy == LanePolicy::Adaptive)
-          ++St.AdaptiveGrants;
-        if (S->lanes() < E.R.RequestedLanes)
-          ++St.CappedGrants;
-        uint64_t Waited =
-            E.Immediate
-                ? 0
-                : static_cast<uint64_t>(
-                      std::chrono::duration_cast<std::chrono::microseconds>(
-                          Now - E.Enqueued)
-                          .count());
-        St.TotalQueuedMicros += Waited;
-        noteRemovedLocked(E);
+        uint64_t Waited = noteGrantedLocked(E, S->lanes(), Now);
         Solo.emplace(Action{std::move(E), std::move(S), Waited});
         Queue.pop_front();
       }
@@ -462,13 +490,7 @@ void Scheduler::runGrants() {
         std::vector<Candidate> Pending;
         Pending.reserve(Queue.size());
         for (const Entry &E : Queue) {
-          uint64_t Waited =
-              E.Immediate
-                  ? 0
-                  : static_cast<uint64_t>(
-                        std::chrono::duration_cast<std::chrono::microseconds>(
-                            Now - E.Enqueued)
-                            .count());
+          uint64_t Waited = E.Immediate ? 0 : microsBetween(E.Enqueued, Now);
           double Rate = -1.0;
           if (Policy == LanePolicy::Adaptive && E.R.LoopTag) {
             auto It = LaneRates.find(E.R.LoopTag);
@@ -487,17 +509,7 @@ void Scheduler::runGrants() {
               G.Lanes, E.R.AllowStealing, E.R.Owner, G.Node);
           if (!S)
             break; // Raced with a blocking acquirer; retry on next release.
-          if (E.Immediate)
-            ++St.ImmediateGrants;
-          else
-            ++St.DeferredGrants;
-          if (Policy == LanePolicy::Adaptive)
-            ++St.AdaptiveGrants;
-          if (S->lanes() < E.R.RequestedLanes)
-            ++St.CappedGrants;
-          uint64_t Waited = Pending[G.Index].QueuedMicros;
-          St.TotalQueuedMicros += Waited;
-          noteRemovedLocked(E);
+          uint64_t Waited = noteGrantedLocked(E, S->lanes(), Now);
           Actions.push_back(Action{std::move(E), std::move(S), Waited});
           Granted.push_back(G.Index);
         }

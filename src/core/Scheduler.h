@@ -23,6 +23,14 @@
 ///    accounted to the request's Owner, the thread that drives the
 ///    future (see WorkerPool::tryAcquireSessionFor).
 ///
+/// A queued request is not idle: its driver claim()s it and runs the
+/// invocation's non-speculative chunk 0 at once. A grant that lands
+/// meanwhile launches the speculative chunks beside it; if none has
+/// landed when chunk 0 ends, the driver withdraw()s the request and runs
+/// the rest inline -- a deferred grant of zero lanes
+/// (SchedulerStats::InlineGrants). A claimed request is exempt from the
+/// deadline sweep: it has started.
+///
 /// Which request wins is LanePolicy (RuntimeConfig::Policy):
 ///
 ///  * FirstCome  -- admission order; the head takes every free lane it
@@ -73,6 +81,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -89,13 +98,19 @@ struct SchedulerStats {
   uint64_t Submitted = 0;
   /// Requests granted inside their own submit() call (lanes were free).
   uint64_t ImmediateGrants = 0;
-  /// Requests granted later, by a thread releasing lanes.
+  /// Requests granted later: by a thread releasing lanes, or withdrawn
+  /// by their driver and run inline (InlineGrants).
   uint64_t DeferredGrants = 0;
+  /// Deferred grants of zero lanes: requests whose driver finished
+  /// chunk 0 while they were still queued, withdrew them, and ran the
+  /// remaining chunks on its own thread. A subset of DeferredGrants.
+  uint64_t InlineGrants = 0;
   /// Grants handed fewer lanes than requested (pool contention; under
   /// FairShare also deliberate splitting).
   uint64_t CappedGrants = 0;
   /// Total time granted requests spent queued (deferred grants only;
-  /// immediate grants contribute 0 by definition).
+  /// immediate grants contribute 0 by definition): from enqueue to the
+  /// earlier of the grant and the driver's claim.
   uint64_t TotalQueuedMicros = 0;
   /// High-water mark of the admission queue depth, in queued
   /// *invocations* (a batch counts its size) -- the figure the queue
@@ -112,10 +127,12 @@ struct SchedulerStats {
   /// queue) but never in ImmediateGrants/DeferredGrants.
   uint64_t DroppedDeadline = 0;
   /// Throughput feedback samples consumed (Scheduler::noteThroughput);
-  /// resolved parallel invocations report one each. Fed regardless of
+  /// resolved parallel invocations on lanes report one each (an inline
+  /// run, on zero lanes, reports none). Fed regardless of
   /// policy so switching to LanePolicy::Adaptive starts warm.
   uint64_t ThroughputSamples = 0;
-  /// Grants planned by LanePolicy::Adaptive's throughput-weighted split.
+  /// Grants made under LanePolicy::Adaptive's throughput-weighted split
+  /// (InlineGrants included).
   uint64_t AdaptiveGrants = 0;
 };
 
@@ -133,7 +150,8 @@ public:
     /// LoopOptions::Priority of the submitting loop.
     int Priority = 0;
     /// The thread that will drive the granted session (the submitter);
-    /// leases are accounted to it for self-deadlock diagnostics.
+    /// leases are accounted to it for the Block-overload self-deadlock
+    /// diagnostic.
     std::thread::id Owner;
     /// Invocations this request admits at once (a batch's size); the
     /// queue caps and HighWaterQueueDepth count in this unit.
@@ -183,13 +201,18 @@ public:
   /// because only its parked stack could ever make room.
   uint64_t submit(Request R);
 
-  /// True while the ticket's request sits in the admission queue. The
-  /// request leaves the queue the moment a grant pass picks it -- before
-  /// its OnGrant callback runs -- so false means granted-or-in-flight.
-  /// Used by the waiters' self-deadlock diagnostic: "still queued while
-  /// the waiting thread holds every lane" is provably stuck, "popped
-  /// but not yet Granted" is a grant mid-flight on another thread.
-  bool isQueued(uint64_t Ticket) const;
+  /// The driver has started the ticket's request (its chunk 0 runs now):
+  /// the deadline sweep no longer drops it, and its queue time stops at
+  /// this call. False when the request already left the queue -- a
+  /// grant or drop picked it, and its callback has run or is running.
+  bool claim(uint64_t Ticket);
+
+  /// Removes the ticket's still-queued request without granting it: its
+  /// driver runs the invocation inline instead. Counts a deferred grant
+  /// of zero lanes (DeferredGrants and InlineGrants) and returns the
+  /// request's queue time. Empty when a grant pass picked the request
+  /// first; its OnGrant callback then has run or is running.
+  std::optional<uint64_t> withdraw(uint64_t Ticket);
 
   /// Deferred-grant entry point, wired to WorkerPool::setReleaseHook.
   void onLanesFreed();
@@ -268,7 +291,20 @@ private:
     /// reports 0 queued time, and the deadline sweep skips it (a
     /// submission always gets its own grant attempt first).
     bool Immediate = true;
+    /// When the driver claimed the entry (claim()); the sweep skips a
+    /// claimed entry and its queue time ends here.
+    std::optional<Clock::time_point> Claimed;
   };
+
+  /// Stats half of removing \p E granted with \p Lanes lanes at \p Now
+  /// (0 lanes: withdrawn). Returns its queue time. Requires the
+  /// scheduler mutex.
+  uint64_t noteGrantedLocked(const Entry &E, unsigned Lanes,
+                             Clock::time_point Now);
+
+  /// The queued entry holding \p Ticket, or Queue.end(). Requires the
+  /// scheduler mutex.
+  std::deque<Entry>::iterator findLocked(uint64_t Ticket);
 
   /// Plans against the current free-lane count, executes the leases, and
   /// pops granted entries -- all under the scheduler mutex -- then runs
@@ -281,10 +317,10 @@ private:
   /// mutex.
   bool overCapLocked(const Request &R) const;
 
-  /// Removes every non-Immediate entry that has waited past its
-  /// deadline, updating the queue accounting and DroppedDeadline, and
-  /// collects the OnDrop callbacks into \p Drops (run them outside the
-  /// mutex). Requires the scheduler mutex.
+  /// Removes every unclaimed non-Immediate entry that has waited past
+  /// its deadline, updating the queue accounting and DroppedDeadline,
+  /// and collects the OnDrop callbacks into \p Drops (run them outside
+  /// the mutex). Requires the scheduler mutex.
   void sweepExpiredLocked(Clock::time_point Now,
                           std::vector<std::function<void()>> &Drops);
 

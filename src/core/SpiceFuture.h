@@ -32,13 +32,11 @@
 ///  * The destructor of a valid future drives the invocation to
 ///    completion and discards the result (including any exception), so
 ///    dropping a future never leaks leased lanes or a queued admission.
-///  * Resolve futures in submission order per client thread: blocking on
-///    a still-queued future while an earlier granted one holds every
-///    worker lane is a self-deadlock, and the runtime aborts with a
-///    diagnostic instead of hanging (see SpiceLoop::submit()). The
-///    diagnostic assumes the submitting thread drives the future; a
-///    future moved to another thread still executes correctly, but a
-///    deadlock it causes blocks instead of aborting.
+///  * Driving a future never waits for a grant. A still-queued
+///    invocation starts its chunk 0 at once; if no lanes arrive before
+///    chunk 0 ends it is withdrawn and finished on the driving thread,
+///    so futures may be resolved in any order, and a loop body may
+///    submit to and wait on its own runtime.
 ///
 /// SpiceBatchFuture is the N-invocation sibling returned by
 /// SpiceLoop::submitBatch(): one scheduler trip and one lane lease

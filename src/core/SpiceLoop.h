@@ -32,11 +32,16 @@
 /// free workers, else deferred until another invocation releases its
 /// lanes), the speculative chunks start executing on the granted
 /// workers; the non-speculative chunk 0 and the ordered commit chain
-/// run on the client thread inside SpiceFuture::get()/wait(). invoke()
-/// is literally submit(Start).get() -- the synchronous spelling -- and
-/// a client can overlap invocations of *different* loops by holding
-/// several futures (one loop handle still runs one invocation at a
-/// time; see core/SpiceFuture.h for future semantics).
+/// run on the client thread inside SpiceFuture::get()/wait(). The
+/// client never waits for a grant: driving a still-queued invocation
+/// runs its chunk 0 at once, a grant that lands meanwhile launches the
+/// speculative chunks beside it, and an invocation still queued when
+/// chunk 0 ends is withdrawn and finished inline, each remaining chunk
+/// running direct as a promoted chunk does. invoke() is literally
+/// submit(Start).get() -- the synchronous spelling -- and a client can
+/// overlap invocations of *different* loops by holding several futures
+/// (one loop handle still runs one invocation at a time; see
+/// core/SpiceFuture.h for future semantics).
 ///
 /// Serving layers batch: submitBatch(Starts) admits N invocations as
 /// ONE scheduler request returning a SpiceBatchFuture -- one admission
@@ -122,12 +127,10 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
@@ -200,13 +203,6 @@ public:
   /// core/SpiceFuture.h). The loop handle runs one invocation at a time:
   /// the next submit() must wait until this future resolves. \p Start
   /// and the Traits object must stay valid until resolution.
-  ///
-  /// The granted lanes are accounted to the *submitting* thread, which
-  /// is expected to also drive the future: the self-deadlock diagnostic
-  /// (waiting on a grant only your own stack could unblock) keys off
-  /// that accounting. A future moved to and driven by a different
-  /// thread still executes correctly, but a deadlock it causes is no
-  /// longer provable and blocks instead of aborting.
   SpiceFuture<State> submit(const LiveIn &Start) {
     return SpiceFuture<State>(submitStarts({Start}));
   }
@@ -605,6 +601,10 @@ private:
                        std::memory_order_release);
     } else {
       Inv->ActiveChunks = ActiveChunks;
+      // Before the request enters the scheduler: the driver may start
+      // chunk 0 before any grant lands. One invocation per loop is in
+      // flight, and only its own chunks write SVA.
+      prepareParallel(ActiveChunks);
       Inv->Phase.store(AsyncInvocation::InvPhase::Queued,
                        std::memory_order_release);
       Scheduler::Request R;
@@ -636,15 +636,19 @@ private:
   /// One submitted request -- a single invocation or a whole batch: the
   /// shared state between the future the client holds, the scheduler's
   /// grant/drop callbacks, and the driving thread. Phases: SeqPending
-  /// (no predictions, every element runs in wait()), or Queued ->
-  /// Granted (lanes leased, element 0's chunks launched) -> Resolved,
-  /// with Dropped replacing Granted when admission control shed the
-  /// request. Elements execute strictly in submission order on the
-  /// driving thread; the lane lease is held across all of them and
+  /// (no predictions, every element runs sequentially in wait()), or
+  /// Queued -> Granted (lanes leased, element 0's chunks launched) or
+  /// Inline (withdrawn: the driver runs every chunk itself) ->
+  /// Resolved, with Dropped replacing both when admission control shed
+  /// the request. The driver never waits for a grant: it claims a
+  /// still-queued request and runs element 0's chunk 0 at once (see
+  /// settle()). Elements execute strictly in submission order on the
+  /// driving thread; a lane lease is held across all of them and
   /// released exactly once in finish() -- so an abandoned batch neither
   /// leaks lanes nor double-aborts. onGrant/onDropped may run on a
-  /// foreign (lane-releasing) thread; the mutex/CV hand-off orders
-  /// their writes before the driver's reads.
+  /// foreign (lane-releasing) thread; each ends with a release store of
+  /// Phase, its last touch of this object, which orders its writes
+  /// before the driver's reads.
   class AsyncInvocation final : public detail::FutureImpl<State>,
                                 public detail::BatchFutureImpl<State> {
   public:
@@ -688,68 +692,55 @@ private:
       SeqPending,
       Queued,
       Granted,
+      Inline,
       Dropped,
       Resolved
     };
 
-    /// Grant callback (scheduler): lease in hand, start element 0's
-    /// speculative chunks, then publish the session to the driver.
+    /// Grant callback (scheduler): lease in hand, launch element 0's
+    /// speculative chunks -- beside chunk 0 when the driver has already
+    /// started it -- then publish the session to the driver.
     void onGrant(WorkerPool::SessionHandle S, uint64_t Micros) {
-      L.prepareParallel(ActiveChunks, S.get());
+      L.bindChunkBuffers(ActiveChunks, S.get());
       L.launchChunks(*S, ActiveChunks);
-      {
-        std::lock_guard<std::mutex> Lock(M);
-        Session = std::move(S);
-        QueuedMicros = Micros;
-        Phase.store(InvPhase::Granted, std::memory_order_release);
-        // Deliberately notified under the mutex: the woken driver may
-        // resolve and destroy this object the instant it owns M, so the
-        // broadcast must complete before M is released.
-        CV.notify_all();
-      }
+      Session = std::move(S);
+      QueuedMicros = Micros;
+      // Last touch: the driver may destroy this object once it sees
+      // Granted.
+      Phase.store(InvPhase::Granted, std::memory_order_release);
     }
 
     /// Drop callback (scheduler deadline sweep): the request left the
-    /// admission queue ungranted; wake the driver to shed.
+    /// admission queue ungranted and unclaimed; the driver sheds it.
     void onDropped() {
-      std::lock_guard<std::mutex> Lock(M);
       Phase.store(InvPhase::Dropped, std::memory_order_release);
-      CV.notify_all();
     }
 
-    /// Driver side: blocks until the scheduler granted lanes. A request
-    /// still sitting in the admission queue while the waiting thread's
-    /// own sessions lease the entire pool can never be granted (grants
-    /// need a free lane, and only this parked thread's stack could free
-    /// one): that provable self-deadlock -- a step callback submitting
-    /// and waiting on the same runtime, or futures resolved out of
-    /// submission order -- aborts loudly instead of hanging.
-    ///
-    /// The check order is load-bearing. A grant pass leases lanes
-    /// (accounted to this thread, the request's owner) and removes the
-    /// request from the queue in one scheduler-mutex critical section,
-    /// so observing isQueued *after* observing holds-entire-pool is
-    /// conclusive: still queued then means no grant ever started for
-    /// this request, and the held lanes are all from this thread's own
-    /// earlier sessions -- which only its parked stack could release.
-    /// The reverse order would misfire on a grant mid-flight on another
-    /// thread (lanes already charged to us, Phase not yet Granted).
-    /// The diagnostic assumes the submitting thread drives the future
-    /// (leases are accounted to it); see SpiceLoop::submit().
-    void awaitGrant() {
-      std::unique_lock<std::mutex> Lock(M);
-      if (Phase.load(std::memory_order_relaxed) == InvPhase::Queued &&
-          L.RT->pool().callerHoldsEntirePool() &&
-          L.RT->scheduler().isQueued(Ticket))
-        reportFatalError(
-            "waiting on a queued SpiceFuture would deadlock: this "
-            "thread's sessions lease every worker of the pool, so the "
-            "grant this wait needs can never happen (nested "
-            "submit()/invoke() from a loop body, or futures resolved "
-            "out of submission order?)");
-      CV.wait(Lock, [this] {
-        return Phase.load(std::memory_order_relaxed) != InvPhase::Queued;
-      });
+    /// Yield-spins while the request is Queued: a grant or drop that
+    /// took it off the queue is publishing, which takes a buffer bind
+    /// and a launch, never a wait on other work.
+    void awaitPublished() {
+      while (Phase.load(std::memory_order_acquire) == InvPhase::Queued)
+        std::this_thread::yield();
+    }
+
+    /// Driver side, once element 0's chunk 0 has ended (or unwound):
+    /// the session the request's speculative chunks run on, or null to
+    /// run them inline. A request still queued is withdrawn -- a
+    /// deferred grant of zero lanes; a withdraw that loses to a grant
+    /// in flight waits for its publication. Moves the request's queue
+    /// time into \p Queued, so only element 0 reports it.
+    WorkerSession *settle(uint64_t &Queued) {
+      if (Phase.load(std::memory_order_acquire) == InvPhase::Queued) {
+        if (std::optional<uint64_t> W = L.RT->scheduler().withdraw(Ticket)) {
+          QueuedMicros = *W;
+          Phase.store(InvPhase::Inline, std::memory_order_relaxed);
+        } else {
+          awaitPublished();
+        }
+      }
+      Queued = std::exchange(QueuedMicros, 0);
+      return Session.get();
     }
 
     /// Driver core: executes elements NextElem..Last in submission
@@ -762,9 +753,13 @@ private:
       Last = std::min(Last, Starts.size() - 1);
       if (!Began) {
         Began = true;
-        if (Phase.load(std::memory_order_relaxed) == InvPhase::Queued)
-          awaitGrant();
-        if (Phase.load(std::memory_order_relaxed) == InvPhase::Dropped) {
+        // Claim a still-queued request: its chunk 0 starts now and the
+        // deadline sweep leaves it alone. A request already off the
+        // queue has its grant or drop in flight.
+        if (Phase.load(std::memory_order_acquire) == InvPhase::Queued &&
+            !L.RT->scheduler().claim(Ticket))
+          awaitPublished();
+        if (Phase.load(std::memory_order_acquire) == InvPhase::Dropped) {
           // Admission control shed the request. It was one scheduler
           // request, so it sheds as one: every element resolves to the
           // same overload outcome.
@@ -797,27 +792,29 @@ private:
     }
 
     /// One element's execution on the driving thread. Element 0 of a
-    /// granted request resolves the chunks launched at grant time;
-    /// every later element re-launches the held session against the
-    /// predictions its predecessor refreshed (or runs sequentially when
-    /// none are valid -- lanes idle for that element, but order is
-    /// preserved).
+    /// parallel request resolves the chunks launched at grant time (or
+    /// inline); every later element re-launches the held session -- or
+    /// runs inline again -- against the predictions its predecessor
+    /// refreshed, or runs sequentially when none are valid (lanes idle
+    /// for that element, but order is preserved).
     State runElement(size_t I) {
-      if (I == 0 && Session)
-        return L.resolveGranted(*Session, Starts[0], ActiveChunks,
-                                QueuedMicros);
-      if (!Session)
+      if (Phase.load(std::memory_order_relaxed) == InvPhase::SeqPending)
         return L.invokeSequential(Starts[I]);
-      unsigned Active = L.countLaunchableSpecChunks();
-      if (Active == 0)
-        return L.invokeSequential(Starts[I]);
-      // The leased workers are parked between elements (resolveGranted
-      // joins them), so reopening the deques here is race-free.
-      Session->reopenQueues();
-      L.prepareParallel(Active, Session.get());
-      L.launchChunks(*Session, Active);
-      return L.resolveGranted(*Session, Starts[I], Active,
-                              /*QueuedMicros=*/0);
+      unsigned Active = ActiveChunks;
+      if (I > 0) {
+        Active = L.countLaunchableSpecChunks();
+        if (Active == 0)
+          return L.invokeSequential(Starts[I]);
+        L.prepareParallel(Active);
+        if (Session) {
+          // The leased workers are parked between elements (the previous
+          // element joined them), so reopening the deques is race-free.
+          Session->reopenQueues();
+          L.bindChunkBuffers(Active, Session.get());
+          L.launchChunks(*Session, Active);
+        }
+      }
+      return L.resolveParallel(*this, Starts[I], Active);
     }
 
     /// Exactly-once completion of the whole request: release the lane
@@ -832,12 +829,10 @@ private:
 
     SpiceLoop &L;
     std::vector<LiveIn> Starts; ///< One per element, submission order.
-    unsigned ActiveChunks = 0;
-    uint64_t Ticket = 0; ///< Admission-queue id (see awaitGrant).
+    unsigned ActiveChunks = 0;  ///< Element 0's launchable chunks.
+    uint64_t Ticket = 0;        ///< Admission-queue id (claim/withdraw).
     WorkerPool::SessionHandle Session;
     uint64_t QueuedMicros = 0;
-    std::mutex M;
-    std::condition_variable CV;
     std::atomic<InvPhase> Phase{InvPhase::SeqPending};
     std::vector<std::optional<State>> Results; ///< Per-element outcome.
     std::vector<std::exception_ptr> Errs;      ///< Per-element error.
@@ -845,16 +840,16 @@ private:
     bool Began = false;  ///< Driver entered resolution (driver only).
   };
 
-  /// Grant-side setup, step 1: snapshot the predictions into PredArena
+  /// Per-invocation setup: snapshot the predictions into PredArena
   /// (memoization overwrites SVA during the run) and reset the per-chunk
-  /// machinery. Runs on the granting thread; the launch that follows
-  /// publishes the writes to the workers, and the mutex hand-off in
-  /// onGrant publishes them to the driver. One invocation per loop is in
-  /// flight at a time (InvokeInFlight), so the loop-owned arena is safe
-  /// and its capacity is reused by every invocation.
-  void prepareParallel(unsigned ActiveChunks, WorkerSession *S) {
+  /// machinery. Runs on the thread that submits the request (for later
+  /// batch elements, the driver) before any chunk starts; the scheduler
+  /// mutex orders it before a grant callback, whose launch publishes it
+  /// to the workers. One invocation per loop is in flight at a time
+  /// (InvokeInFlight), so the loop-owned arena is safe and its capacity
+  /// is reused by every invocation.
+  void prepareParallel(unsigned ActiveChunks) {
     PredArena.assign(SVA.begin(), SVA.begin() + ActiveChunks);
-    bindChunkBuffers(ActiveChunks, S);
     for (unsigned I = 0; I <= ActiveChunks; ++I) {
       Signals[I].store(ChunkSignal::Run, std::memory_order_relaxed);
       Progress[I].Value.store(ChunkProgress::Queued,
@@ -869,7 +864,7 @@ private:
   /// NUMA binding is active (bindChunkBuffers).
   SpecWriteBuffer &specBuf(unsigned C) { return *BufPtrs[C]; }
 
-  /// NUMA half of prepareParallel: when the runtime runs a multi-node
+  /// NUMA half of a launch: when the runtime runs a multi-node
   /// placement, each speculative chunk draws its SpecWriteBuffer from
   /// the shard of the node owning the chunk's home lane, so a chunk's
   /// speculative writes -- and the commit chain's reads of them -- stay
@@ -907,8 +902,8 @@ private:
     DrawnBufs.clear();
   }
 
-  /// Grant-side setup, step 2: queue the speculative chunks on the
-  /// granted lanes and wake the leased workers. With a sole client the
+  /// Grant-side launch: queue the speculative chunks on the granted
+  /// lanes and wake the leased workers. With a sole client the
   /// session holds min(pool size, ActiveChunks) lanes, the pre-scheduler
   /// schedule; a capped grant simply queues more chunks per lane. The
   /// job context (session pointer, active count, PredArena) lives in the
@@ -936,55 +931,78 @@ private:
     });
   }
 
-  /// Driver side of one granted invocation (one batch element): chunk
+  /// Driver side of one parallel invocation (one batch element): chunk
   /// 0, the ordered commit chain, recovery, and the per-invocation
-  /// bookkeeping, against the chunks previously launched on \p Session
-  /// (launchChunks). Runs on the thread driving the future; the
-  /// speculative chunks have been executing since the launch. The
-  /// session is *borrowed*: the caller keeps the lease afterwards (a
-  /// batch re-launches it element by element) and releases it exactly
-  /// once when the whole request completes (AsyncInvocation::finish).
-  /// On exit -- normal or unwinding -- the leased workers are joined
-  /// and the queues closed, so the caller may reopen and re-launch.
-  State resolveGranted(WorkerSession &Session, const LiveIn &Start,
-                       unsigned ActiveChunks, uint64_t QueuedMicros) {
+  /// bookkeeping. Runs on the thread driving the future. Chunk 0 starts
+  /// at once; then \p Inv settles the session: the lease whose workers
+  /// have run the speculative chunks since their launch (at the grant,
+  /// possibly mid-chunk-0), or none when the request was withdrawn. The
+  /// driver then runs chunks 1..ActiveChunks itself, each promoted
+  /// before it starts, so it runs direct from its first segment head
+  /// and commits with the rows and counters a committed speculative
+  /// chunk records. The session is *borrowed*: the request keeps the
+  /// lease afterwards (a batch re-launches it element by element) and
+  /// releases it exactly once when the whole request completes
+  /// (AsyncInvocation::finish). On exit -- normal or unwinding -- the
+  /// leased workers are joined and the queues closed, so the caller may
+  /// reopen and re-launch.
+  State resolveParallel(AsyncInvocation &Inv, const LiveIn &Start,
+                        unsigned ActiveChunks) {
     const auto ResolveStart = std::chrono::steady_clock::now();
     const std::vector<LiveIn> &Pred = PredArena;
     const SpiceStats Before = Stats;
-    Stats.LaunchedSpecThreads += ActiveChunks;
-    Stats.QueuedMicros += QueuedMicros;
-    Stats.GrantedLanes += Session.lanes();
+    const unsigned PlanChunksBefore = PlanChunks;
     // Oversubscription only changes behavior when there can be more
     // chunks than workers; an effective k of 1 must reproduce the
     // paper's fixed chunk-per-thread schedule exactly. Same answer as at
     // launch: the controller only moves k after the join below.
     const bool Oversubscribed = oversubscribed();
-    const unsigned Lanes = Session.lanes();
     // If a Traits callable throws mid-invocation, the lanes must still be
     // joined before the handle returns them to the shared pool -- a
     // session destroyed with its job in flight would lease busy workers
-    // to other loops. Squash the orphaned chunks and drain; idempotent
-    // on the normal path (queues already closed, wait a no-op). At k=1
-    // the queues were closed at launch, so this only joins.
+    // to other loops. An unwind out of chunk 0 settles first, so a grant
+    // that landed meanwhile is joined too. Squash the orphaned chunks
+    // and drain; idempotent on the normal path (queues already closed,
+    // wait a no-op). At k=1 the queues were closed at launch, so this
+    // only joins.
     struct SessionJoiner {
       SpiceLoop &L;
-      WorkerSession &S;
+      AsyncInvocation &Inv;
       unsigned ActiveChunks;
+      bool Settled = false;
+      WorkerSession *S = nullptr;
+      uint64_t QueuedMicros = 0;
+      WorkerSession *settle() {
+        Settled = true;
+        return S = Inv.settle(QueuedMicros);
+      }
       ~SessionJoiner() {
+        if (!Settled)
+          settle();
+        if (!S)
+          return; // Inline: no chunk was launched.
         for (unsigned I = 0; I <= ActiveChunks; ++I)
           L.Signals[I].store(ChunkSignal::Abort, std::memory_order_relaxed);
-        S.closeQueues();
-        S.wait();
+        S->closeQueues();
+        S->wait();
         // Safe only here: the join above is what guarantees no worker
         // still writes through the chunk buffers.
         L.releaseChunkBuffers();
       }
-    } Joiner{*this, Session, ActiveChunks};
+    } Joiner{*this, Inv, ActiveChunks};
     Results[0] = runChunk(Start, &Pred[0], /*ChunkIdx=*/0,
                           cursorFor(0), Config.MaxSpecIterations);
+    WorkerSession *const Session = Joiner.settle();
+    const unsigned Lanes = Session ? Session->lanes() : 0;
+    const uint64_t QueuedMicros = Joiner.QueuedMicros;
+    Stats.LaunchedSpecThreads += ActiveChunks;
+    Stats.QueuedMicros += QueuedMicros;
+    Stats.GrantedLanes += Lanes;
 
-    // Waits for chunk C to finish; in oversubscribed mode the main thread
-    // makes itself useful by draining pending chunks while it waits. A
+    // Waits for chunk C to finish. Inline, it runs C instead: C is
+    // already promoted, so it runs direct from its first segment head.
+    // In oversubscribed mode the main thread makes itself useful by
+    // draining pending chunks while it waits. A
     // helped chunk whose start is already validated (P == C) gets the
     // full budget; a still-speculative one is clamped so main can never
     // be wedged inside a chunk only it could abort. Once nothing is
@@ -997,11 +1015,18 @@ private:
     // finishing well after chunk 0) would otherwise cost main's CPU for
     // its whole remaining length.
     auto WaitForChunk = [&](unsigned C) {
+      if (!Session) {
+        // No thread waits on C's progress word: run it bare.
+        Results[C] = runChunk(Pred[C - 1],
+                              C < ActiveChunks ? &Pred[C] : nullptr, C,
+                              cursorFor(C), Config.MaxSpecIterations);
+        return;
+      }
       uint32_t P;
       while (Oversubscribed &&
              Progress[C].Value.load(std::memory_order_acquire) !=
                  ChunkProgress::Done &&
-             Session.helpPopFront(P)) {
+             Session->helpPopFront(P)) {
         ++Stats.MainHelpedChunks;
         executeChunk(P, Pred, ActiveChunks, /*Stolen=*/true,
                      P == C ? Config.MaxSpecIterations : helpIterBudget());
@@ -1060,6 +1085,7 @@ private:
                      (R.Promoted || !Config.EnableConflictDetection ||
                       specBuf(J).validateReads());
       if (!Healthy || !ReadsOk) {
+        assert(Session && "an inline chunk runs promoted and cannot fail");
         if (!ReadsOk)
           ++Stats.ConflictSquashes;
         AnyFailure = true;
@@ -1085,7 +1111,7 @@ private:
           Promote(J);
           // Front of the lane: J blocks the whole commit chain, so it
           // must run before any more-speculative pending chunk.
-          Session.pushChunkFront(homeLane(J, Lanes), J);
+          Session->pushChunkFront(homeLane(J, Lanes), J);
           continue; // Same J: wait for the recovery execution.
         }
         // Paper protocol (and oversubscribed last resort): everything
@@ -1126,15 +1152,14 @@ private:
       Merged = runRecovery(std::move(Merged), Pred[RecoverFrom - 1], Work,
                            RecoverFrom);
 
-    Session.closeQueues();
-    Session.wait(); // The caller's finish() returns the leased lanes.
-
-    // Steal locality: fold this element's deque counters into the loop
-    // stats now (before the LastStats snapshot below); the exchange
-    // leaves the session's counters at zero for the next batch element.
-    {
+    if (Session) {
+      Session->closeQueues();
+      Session->wait(); // The request's finish() returns the leased lanes.
+      // Steal locality: fold this element's deque counters into the loop
+      // stats now (before the LastStats snapshot below); the exchange
+      // leaves the session's counters at zero for the next batch element.
       const detail::ChunkDeques::StealCounters SC =
-          Session.takeStealCounters();
+          Session->takeStealCounters();
       Stats.LocalSteals += SC.Local;
       Stats.RemoteSteals += SC.Remote;
     }
@@ -1142,9 +1167,11 @@ private:
     // Post-join bookkeeping: wasted work and stale rows of dead chunks.
     bool AnySquash = AnyFailure;
     for (unsigned J = Committed + 1; J <= ActiveChunks; ++J) {
-      ChunkResult &R = *Results[J];
       AnySquash = true;
       ++Stats.SquashedThreads;
+      if (!Results[J])
+        continue; // Squashed inline before it started.
+      ChunkResult &R = *Results[J];
       Stats.WastedIterations += R.Iterations;
       specBuf(J).clear();
       for (unsigned Row : R.WrittenRows)
@@ -1174,7 +1201,8 @@ private:
         // The invocation's real execution contexts: the leased lanes
         // plus the resolving main thread. With a sole client this equals
         // min(NumThreads, ActiveChunks + 1), the pre-runtime value;
-        // under pool contention it reflects the partition actually held.
+        // under pool contention it reflects the partition actually held
+        // (the driver alone for an inline run).
         unsigned ExecUnits = Lanes + 1;
         ChunkWorkArena.assign(Work.begin(),
                               Work.begin() + ActiveChunks + 1);
@@ -1219,9 +1247,56 @@ private:
       setEffectiveK(Controller->onInvocation(Sample));
     }
 
+    // The first validated invocation after a k move cuts the next plan
+    // against the rows it recorded, which the next invocation runs.
+    if (PlanCutAtMove && !AnySquash && workAtRecordedRows(Work, ActiveChunks))
+      PlanCutAtMove = false;
+    PlanCutAtMove |= PlanChunks != PlanChunksBefore;
     planNext(Work);
     LastStats = Stats;
     return Merged;
+  }
+
+  /// After a k move the plan that ran was cut for PlanChunks chunks
+  /// while the invocation ran the old granularity's boundaries, so the
+  /// rows it recorded are not the boundaries it ran -- and the next
+  /// invocation runs the recorded rows. Rewrites \p Work (the per-chunk
+  /// work of a fully validated invocation) into the work each chunk of
+  /// the next invocation sees if this invocation's work recurs: a row
+  /// chunk J recorded at threshold t lies t past J's start, a row kept
+  /// from before at the start of the chunk it predicted. Returns false,
+  /// leaving \p Work alone, when a launchable row's position is unknown
+  /// or out of order.
+  bool workAtRecordedRows(std::vector<uint64_t> &Work,
+                          unsigned ActiveChunks) {
+    constexpr uint64_t Unknown = UINT64_MAX;
+    std::vector<uint64_t> Pos(SVA.size(), Unknown);
+    uint64_t Start = 0;
+    for (unsigned J = 0; J < ActiveChunks; ++J)
+      Pos[J] = Start += Work[J]; // Row J predicted chunk J+1's start.
+    Start = 0;
+    for (unsigned J = 0; J <= ActiveChunks; ++J) {
+      for (unsigned Row : Results[J]->WrittenRows)
+        for (const MemoEntry &E : Plan.PerThread[J])
+          if (E.Row == Row)
+            Pos[Row] = Start + E.Threshold;
+      Start += Work[J];
+    }
+    const unsigned Next = countLaunchableSpecChunks();
+    uint64_t Prev = 0;
+    for (unsigned Row = 0; Row != Next; ++Row) {
+      if (Pos[Row] == Unknown || Pos[Row] < Prev || Pos[Row] > Start)
+        return false;
+      Prev = Pos[Row];
+    }
+    Work.resize(Next + 1);
+    Prev = 0;
+    for (unsigned Row = 0; Row != Next; ++Row) {
+      Work[Row] = Pos[Row] - Prev;
+      Prev = Pos[Row];
+    }
+    Work[Next] = Start - Prev;
+    return true;
   }
 
   /// Sequential re-execution from \p From to the natural exit after a
@@ -1417,10 +1492,10 @@ private:
   };
   LaunchCtx Launch;
   /// Reusable per-invocation scratch. Safe as members because at most
-  /// one invocation is in flight per loop (InvokeInFlight): written by
-  /// the driving thread in prepareParallel/resolveGranted before workers
-  /// start (ordered by the mailbox bump in launch, and by onGrant's
-  /// mutex/CV for the submit path), read-only while chunks run.
+  /// one invocation is in flight per loop (InvokeInFlight): written in
+  /// prepareParallel/resolveParallel before workers start (ordered by
+  /// the scheduler mutex and the mailbox bump in launch), read-only
+  /// while chunks run.
   std::vector<LiveIn> PredArena;
   std::vector<uint64_t> WorkArena;
   std::vector<uint64_t> PadScratch;
@@ -1432,6 +1507,9 @@ private:
   /// Adaptive chunk-granularity controller; null for static policies.
   /// Driven only between invocations by the thread driving the loop.
   std::unique_ptr<ChunkController> Controller;
+  /// The current plan was cut at a k move and no validated invocation
+  /// has run it yet (see workAtRecordedRows).
+  bool PlanCutAtMove = false;
   /// Guards against overlapping invoke() on one handle (see invoke()).
   std::atomic<bool> InvokeInFlight{false};
 };

@@ -505,8 +505,8 @@ public:
   /// True when the calling thread's sessions lease *every* worker of the
   /// pool: any further blocking acquisition by this thread would be a
   /// certain self-deadlock (only its own stack could free a lane, and it
-  /// is about to park). Used by the scheduler's wait path; always false
-  /// for an empty pool.
+  /// is about to park). Used by the scheduler's Block-overload
+  /// admission wait; always false for an empty pool.
   bool callerHoldsEntirePool() const;
 
   /// Workers currently not leased to any session (snapshot; racy by

@@ -9,9 +9,11 @@
 // core (first-come, fair-share splitting, priority with starvation
 // aging), submit().get() equivalence with invoke(), exception
 // propagation through futures, fair-share liveness under client
-// contention (run under TSan in CI), and the loud-failure diagnostics
-// (submit-then-destroy-runtime, nested submission self-deadlock,
-// futures resolved out of submission order).
+// contention (run under TSan in CI), the loud-failure diagnostic for
+// submit-then-destroy-runtime, and the driving of a still-queued
+// request (QueuedStart: chunk 0 at once, then late lanes or an inline
+// run -- which is what makes a nested submission or futures resolved
+// out of submission order complete instead of deadlocking).
 //
 // The serving layer on top of that surface is covered here too:
 // batched submission (SpiceLoop::submitBatch / SpiceBatchFuture --
@@ -718,58 +720,338 @@ TEST(SchedulerDeathTest, DestroyingRuntimeWithUnresolvedSubmissionDies) {
       "unresolved");
 }
 
-TEST(SchedulerDeathTest, NestedSubmitGetFromAStepCallbackDies) {
-  // A step callback submitting to (and waiting on) the same runtime
-  // while its own invocation leases every worker: only this thread's
-  // stack could ever free a lane, so the wait is a provable
-  // self-deadlock and must abort instead of hanging.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        SpiceRuntime RT(/*NumThreads=*/2); // One worker.
-        CountTraits TInner;
-        auto Inner = RT.makeLoop(TInner);
-        Inner.invoke(0); // Warm: the nested submission requests lanes.
+//===----------------------------------------------------------------------===//
+// Driving a queued request: chunk 0 at once, then lanes or inline
+//===----------------------------------------------------------------------===//
 
-        const std::thread::id MainId = std::this_thread::get_id();
-        bool Armed = false;
-        auto Outer =
-            CountBuilder()
-                .step([&](int64_t &I, uint64_t &S, SpecSpace &) {
-                  if (Armed && std::this_thread::get_id() == MainId)
-                    S += Inner.submit(0).get().Sum; // Deadlocks.
-                  if (I >= 4096)
-                    return false;
-                  ++I;
-                  return true;
-                })
-                .combine(
-                    [](uint64_t &A, uint64_t &&B) { A += B; })
-                .build(RT);
-        Outer.invoke(0); // Warm the outer loop too.
-        Armed = true;
-        Outer.invoke(0);
-      },
-      "deadlock");
+TEST(QueuedStart, NestedSubmitGetFromAStepCallbackRunsInline) {
+  // A step callback submitting to (and waiting on) the same runtime
+  // while its own invocation leases every worker: the nested request
+  // stays queued, so its driver runs chunk 0, withdraws the request and
+  // finishes it inline instead of waiting for a lane only this stack
+  // could free.
+  SpiceRuntime RT(/*NumThreads=*/2); // One worker.
+  CountTraits TInner;
+  auto Inner = RT.makeLoop(TInner);
+  Inner.invoke(0); // Warm: the nested submission requests lanes.
+
+  const std::thread::id MainId = std::this_thread::get_id();
+  bool Armed = false;
+  uint64_t InnerSum = 0;
+  auto Outer = CountBuilder()
+                   .step([&](int64_t &I, uint64_t &S, SpecSpace &) {
+                     if (Armed && I == 0 &&
+                         std::this_thread::get_id() == MainId)
+                       InnerSum = Inner.submit(0).get().Sum;
+                     if (I >= 4096)
+                       return false;
+                     S += static_cast<uint64_t>(I);
+                     ++I;
+                     return true;
+                   })
+                   .combine([](uint64_t &A, uint64_t &&B) { A += B; })
+                   .build(RT);
+  Outer.invoke(0); // Warm the outer loop too.
+  Armed = true;
+  EXPECT_EQ(Outer.invoke(0), 4096ull * 4095 / 2);
+  EXPECT_EQ(InnerSum, TInner.expected());
+
+  SchedulerStats S = RT.schedulerStats();
+  EXPECT_EQ(S.InlineGrants, 1u);
+  EXPECT_EQ(S.DeferredGrants, 1u);
+  EXPECT_EQ(S.ImmediateGrants + S.DeferredGrants, S.Submitted);
+  EXPECT_EQ(Inner.stats().GrantedLanes, 0u);
+  EXPECT_EQ(Inner.stats().FullySpeculativeInvocations, 1u);
+  EXPECT_EQ(RT.pool().freeWorkers(), 1u);
 }
 
-TEST(SchedulerDeathTest, ResolvingFuturesOutOfSubmissionOrderDies) {
+TEST(QueuedStart, ResolvingFuturesOutOfSubmissionOrderRunsInline) {
   // FB is queued behind FA, whose session leases the whole pool and can
-  // only be released by this thread driving FA -- blocking on FB first
-  // is the same provable self-deadlock.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        SpiceRuntime RT(/*NumThreads=*/4);
-        CountTraits TA;
-        CountTraits TB;
-        auto LoopA = RT.makeLoop(TA);
-        auto LoopB = RT.makeLoop(TB);
-        LoopA.invoke(0);
-        LoopB.invoke(0);
-        auto FA = LoopA.submit(0); // Granted all three lanes.
-        auto FB = LoopB.submit(0); // Queued.
-        FB.get();                  // Out of order: must die, not hang.
-      },
-      "deadlock");
+  // only be released by this thread driving FA. Driving FB first runs
+  // it inline on this thread; FA then resolves as usual.
+  SpiceRuntime RT(/*NumThreads=*/4);
+  CountTraits TA;
+  CountTraits TB;
+  auto LoopA = RT.makeLoop(TA);
+  auto LoopB = RT.makeLoop(TB);
+  LoopA.invoke(0);
+  LoopB.invoke(0);
+  auto FA = LoopA.submit(0); // Granted all three lanes.
+  auto FB = LoopB.submit(0); // Queued.
+  EXPECT_EQ(FB.get().Sum, TB.expected());
+  EXPECT_EQ(FA.get().Sum, TA.expected());
+
+  SchedulerStats S = RT.schedulerStats();
+  EXPECT_EQ(S.InlineGrants, 1u);
+  EXPECT_EQ(S.DeferredGrants, 1u);
+  EXPECT_EQ(S.ImmediateGrants, 1u);
+  EXPECT_EQ(S.Submitted, 2u);
+  EXPECT_EQ(LoopB.stats().GrantedLanes, 0u);
+  EXPECT_EQ(S.TotalQueuedMicros, LoopB.stats().QueuedMicros);
+  EXPECT_EQ(RT.pool().freeWorkers(), 3u);
+}
+
+namespace {
+
+/// Sum of Start..N-1, what a counting loop from \p Start returns.
+uint64_t countSum(int64_t Start, int64_t N) {
+  return static_cast<uint64_t>(N - Start) *
+         static_cast<uint64_t>(N - 1 + Start) / 2;
+}
+
+} // namespace
+
+TEST(QueuedStart, GrantMidChunkZeroLaunchesLateAndPromotes) {
+  // A holds the only worker lane, so B is queued when its driver starts
+  // and B's chunk 0 runs at once. At its iteration 100 chunk 0 resolves
+  // A, whose release grants B the lane and launches B's chunk 1 beside
+  // chunk 0. Chunk 1 repeats its first iteration (a pass that changes
+  // nothing) while it is speculative, so it cannot end before chunk 0
+  // matches: it is promoted then, or at its first segment head if it
+  // starts only after that.
+  SpiceRuntime RT(/*NumThreads=*/2);
+  CountTraits TA;
+  auto LoopA = RT.makeLoop(TA);
+  LoopA.invoke(0);
+  const int64_t N = 8192;
+  SpiceFuture<CountTraits::State> FA;
+  std::atomic<bool> Released{false}, Started{false}, LaunchedLate{false};
+  std::atomic<uint64_t> Held{0};
+  int64_t Boundary = -1;
+  auto B = CountBuilder()
+               .step([&](int64_t &I, uint64_t &S, SpecSpace &Mem) {
+                 if (I >= N)
+                   return false;
+                 if (!Mem.isSpeculative() && I == 100 && FA.valid()) {
+                   Released.store(true); // The grant lands inside get().
+                   EXPECT_EQ(FA.get().Sum, TA.expected());
+                 }
+                 if (I == Boundary) {
+                   if (!Started.exchange(true))
+                     LaunchedLate.store(Released.load());
+                   if (Mem.isSpeculative()) {
+                     Held.fetch_add(1);
+                     std::this_thread::yield();
+                     return true; // Held: the same iteration again.
+                   }
+                 }
+                 S += static_cast<uint64_t>(I);
+                 ++I;
+                 return true;
+               })
+               .combine([](uint64_t &A, uint64_t &&C) { A += C; })
+               .build(RT);
+  B.invoke(0); // Warm.
+  ASSERT_EQ(B.predictions().size(), 1u);
+  Boundary = B.predictions()[0];
+  const SpiceStats Before = B.stats();
+
+  FA = LoopA.submit(0); // Granted the lane.
+  auto FB = B.submit(0); // Queued.
+  EXPECT_EQ(FB.get(), countSum(0, N));
+  EXPECT_TRUE(Released.load());
+  EXPECT_TRUE(LaunchedLate.load()) << "chunk 1 started before the grant";
+
+  const SpiceStats &After = B.stats();
+  EXPECT_EQ(After.PromotedChunks - Before.PromotedChunks, 1u);
+  EXPECT_EQ(After.FullySpeculativeInvocations -
+                Before.FullySpeculativeInvocations,
+            1u);
+  EXPECT_EQ(After.GrantedLanes - Before.GrantedLanes, 1u);
+  EXPECT_EQ(After.TotalIterations - Before.TotalIterations,
+            static_cast<uint64_t>(N) + Held.load());
+  SchedulerStats S = RT.schedulerStats();
+  EXPECT_EQ(S.DeferredGrants, 1u);
+  EXPECT_EQ(S.InlineGrants, 0u);
+  EXPECT_EQ(S.TotalQueuedMicros, After.QueuedMicros);
+  EXPECT_EQ(RT.pool().freeWorkers(), 1u);
+}
+
+TEST(QueuedStart, InlineRunRecordsWhatAGrantedRunRecords) {
+  // B is queued behind A for every invocation and runs inline; its twin
+  // C runs the same inputs granted on a runtime of its own. Rows, plan
+  // and counters that do not depend on lanes agree invocation by
+  // invocation, at the paper's k and oversubscribed. The trip counts
+  // squash nothing (a squashed chunk's rows depend on timing): at k = 1
+  // growth only lengthens the last chunk; at k = 4 the trip holds.
+  for (unsigned K : {1u, 4u}) {
+    SCOPED_TRACE("k " + std::to_string(K));
+    SpiceRuntime RT(/*NumThreads=*/2), Twin(/*NumThreads=*/2);
+    LoopOptions O;
+    O.ChunksPerThread = K;
+    CountTraits TA, TB, TC;
+    auto A = RT.makeLoop(TA);
+    A.invoke(0);
+    auto B = RT.makeLoop(TB, O);
+    auto C = Twin.makeLoop(TC, O);
+    const std::vector<int64_t> Trips =
+        K == 1 ? std::vector<int64_t>{4096, 4096, 5000, 6000, 6000, 8001}
+               : std::vector<int64_t>(6, 4096);
+    uint64_t Iters = 0;
+    for (int64_t Trip : Trips) {
+      TB.Trip = TC.Trip = Trip;
+      auto FA = A.submit(0); // Holds the only worker lane.
+      auto FB = B.submit(0); // Queued (sequential while cold).
+      EXPECT_EQ(FB.get().Sum, TB.expected());
+      EXPECT_EQ(FA.get().Sum, TA.expected());
+      EXPECT_EQ(C.invoke(0).Sum, TC.expected());
+      Iters += static_cast<uint64_t>(Trip);
+      EXPECT_EQ(B.predictions(), C.predictions()) << "trip " << Trip;
+      EXPECT_EQ(B.currentPlan().PerThread, C.currentPlan().PerThread)
+          << "trip " << Trip;
+      EXPECT_EQ(B.stats().TotalIterations, Iters);
+    }
+    const SpiceStats &SB = B.stats();
+    const SpiceStats &SC = C.stats();
+    EXPECT_EQ(SB.SequentialInvocations, 1u);
+    EXPECT_EQ(SB.FullySpeculativeInvocations, 5u);
+    EXPECT_EQ(SB.FullySpeculativeInvocations, SC.FullySpeculativeInvocations);
+    EXPECT_EQ(SB.LaunchedSpecThreads, SC.LaunchedSpecThreads);
+    EXPECT_EQ(SB.WastedIterations, 0u);
+    EXPECT_EQ(SB.ImbalanceSamples, SC.ImbalanceSamples);
+    EXPECT_DOUBLE_EQ(SB.ChunkImbalanceSum, SC.ChunkImbalanceSum);
+    EXPECT_EQ(SB.GrantedLanes, 0u);
+    SchedulerStats S = RT.schedulerStats();
+    EXPECT_EQ(S.InlineGrants, 5u);
+    EXPECT_EQ(S.TotalQueuedMicros, SB.QueuedMicros);
+    EXPECT_EQ(RT.pool().freeWorkers(), 1u);
+  }
+}
+
+TEST(QueuedStart, DeadlineDropSparesAStartedRequest) {
+  // B's deadline is 2 ms. Its driver starts it while it is queued; chunk
+  // 0 then waits past the deadline and resolves A, whose release runs a
+  // grant pass with its deadline sweep. A started request is not
+  // dropped: the pass grants it. C, never started, is dropped by the
+  // same kind of pass and still throws when driven.
+  RuntimeConfig Cfg;
+  Cfg.NumThreads = 2;
+  Cfg.Overload = OverloadPolicy::DeadlineDrop;
+  SpiceRuntime RT(Cfg);
+  CountTraits TA, TC;
+  auto LoopA = RT.makeLoop(TA);
+  LoopOptions O;
+  O.SubmitDeadlineMicros = 2000;
+  auto LoopC = RT.makeLoop(TC, O);
+  SpiceFuture<CountTraits::State> FA;
+  auto B = CountBuilder()
+               .step([&](int64_t &I, uint64_t &S, SpecSpace &Mem) {
+                 if (!Mem.isSpeculative() && I == 100 && FA.valid()) {
+                   std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                   EXPECT_EQ(FA.get().Sum, TA.expected());
+                 }
+                 if (I >= 8192)
+                   return false;
+                 S += static_cast<uint64_t>(I);
+                 ++I;
+                 return true;
+               })
+               .combine([](uint64_t &A, uint64_t &&C) { A += C; })
+               .options(O)
+               .build(RT);
+  LoopA.invoke(0); // Warm all three.
+  B.invoke(0);
+  LoopC.invoke(0);
+
+  FA = LoopA.submit(0);
+  auto FB = B.submit(0);
+  EXPECT_EQ(FB.get(), countSum(0, 8192));
+  SchedulerStats S = RT.schedulerStats();
+  EXPECT_EQ(S.DroppedDeadline, 0u) << "a started request was dropped";
+  EXPECT_EQ(S.DeferredGrants, 1u);
+  EXPECT_EQ(S.InlineGrants, 0u);
+
+  auto FA2 = LoopA.submit(0);
+  auto FC = LoopC.submit(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(FA2.get().Sum, TA.expected()); // Release -> sweep drops C.
+  EXPECT_THROW(FC.get(), OverloadError);
+  S = RT.schedulerStats();
+  EXPECT_EQ(S.DroppedDeadline, 1u);
+  EXPECT_EQ(S.ImmediateGrants + S.DeferredGrants + S.DroppedDeadline,
+            S.Submitted);
+  EXPECT_EQ(RT.pool().freeWorkers(), 1u);
+}
+
+TEST(QueuedStart, ThrowInQueuedChunkZeroReleasesEverything) {
+  // B's chunk 0 throws while B is queued behind A. Either the request is
+  // still queued and is withdrawn, or A's release granted it first (its
+  // chunk 1 is running) and the session is joined on the unwind. Either
+  // way the lane comes back and the handle stays usable.
+  for (bool GrantFirst : {false, true}) {
+    SCOPED_TRACE(GrantFirst ? "granted, then joined" : "withdrawn");
+    SpiceRuntime RT(/*NumThreads=*/2);
+    CountTraits TA;
+    auto LoopA = RT.makeLoop(TA);
+    LoopA.invoke(0);
+    SpiceFuture<CountTraits::State> FA;
+    bool Armed = false;
+    auto B = CountBuilder()
+                 .step([&](int64_t &I, uint64_t &S, SpecSpace &Mem) {
+                   if (Armed && !Mem.isSpeculative() && I == 100) {
+                     if (GrantFirst) {
+                       EXPECT_EQ(FA.get().Sum, TA.expected());
+                     }
+                     throw std::runtime_error("client bug");
+                   }
+                   if (I >= 8192)
+                     return false;
+                   S += static_cast<uint64_t>(I);
+                   ++I;
+                   return true;
+                 })
+                 .combine([](uint64_t &A, uint64_t &&C) { A += C; })
+                 .build(RT);
+    B.invoke(0); // Warm.
+    FA = LoopA.submit(0);
+    auto FB = B.submit(0);
+    Armed = true;
+    EXPECT_THROW(FB.get(), std::runtime_error);
+    Armed = false;
+    if (FA.valid()) {
+      EXPECT_EQ(FA.get().Sum, TA.expected());
+    }
+    SchedulerStats S = RT.schedulerStats();
+    EXPECT_EQ(S.DeferredGrants, 1u);
+    EXPECT_EQ(S.InlineGrants, GrantFirst ? 0u : 1u);
+    EXPECT_EQ(RT.pool().freeWorkers(), 1u);
+    EXPECT_EQ(B.submit(0).get(), countSum(0, 8192))
+        << "handle must stay usable after the exception";
+  }
+}
+
+TEST(QueuedStart, WithdrawnBatchRunsEveryElementInline) {
+  // Element 0 of a queued batch starts chunk 0 at once and, still
+  // queued when it ends, withdraws the batch; the later elements run
+  // inline the same way. A granted twin batch records the same rows.
+  SpiceRuntime RT(/*NumThreads=*/2), Twin(/*NumThreads=*/2);
+  CountTraits TA, TB, TC;
+  auto A = RT.makeLoop(TA);
+  auto B = RT.makeLoop(TB);
+  auto C = Twin.makeLoop(TC);
+  A.invoke(0); // Warm all three.
+  B.invoke(0);
+  C.invoke(0);
+  const std::vector<int64_t> Starts = {0, 100, 7000};
+
+  auto FA = A.submit(0); // Holds the only worker lane.
+  std::vector<CountTraits::State> Got = B.submitBatch(Starts).take();
+  EXPECT_EQ(FA.get().Sum, TA.expected());
+  std::vector<CountTraits::State> Want = C.submitBatch(Starts).take();
+  ASSERT_EQ(Got.size(), Starts.size());
+  for (size_t I = 0; I != Starts.size(); ++I) {
+    EXPECT_EQ(Got[I].Sum, countSum(Starts[I], TB.Trip)) << "element " << I;
+    EXPECT_EQ(Want[I].Sum, Got[I].Sum) << "element " << I;
+  }
+  EXPECT_EQ(B.predictions(), C.predictions());
+  EXPECT_EQ(B.currentPlan().PerThread, C.currentPlan().PerThread);
+  const SpiceStats &SB = B.stats();
+  EXPECT_EQ(SB.SequentialInvocations, 1u);
+  EXPECT_EQ(SB.FullySpeculativeInvocations, 3u);
+  EXPECT_EQ(SB.TotalIterations, C.stats().TotalIterations);
+  EXPECT_EQ(SB.GrantedLanes, 0u);
+  SchedulerStats S = RT.schedulerStats();
+  EXPECT_EQ(S.InlineGrants, 1u) << "a batch is one request";
+  EXPECT_EQ(S.DeferredGrants, 1u);
+  EXPECT_EQ(RT.pool().freeWorkers(), 1u);
 }

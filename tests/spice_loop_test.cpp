@@ -755,6 +755,76 @@ TEST(ChunkLoop, UnitWorkRowsMatchPerIterationModel) {
   EXPECT_GT(PastEnd, 0u);
 }
 
+TEST(ChunkLoop, PlanAfterAKMoveCutsAtTheRecordedRows) {
+  // A fixed 4096-iteration count on 2 threads under an adaptive k with
+  // one-invocation epochs: k goes 1 -> 2 after the first parallel
+  // invocation and, the settle epoch over, back to 1 when the finer
+  // chunks score no better. The first invocation after each move runs
+  // the old boundaries against a plan cut for the new chunk count, so
+  // the rows it records are not the boundaries it ran; the next plan
+  // must be cut against those rows. Every invocation validates, each
+  // one that starts a chunk at every row records the rows the
+  // per-iteration model of its plan gives, and from the second
+  // invocation after a move on the rows are the balanced cut.
+  SpiceRuntime RT(/*NumThreads=*/2);
+  const int64_t N = 4096;
+  LoopOptions O;
+  O.Chunking = ChunkPolicy::Adaptive(1, 2, /*EpochInvocations=*/1);
+  auto Loop = LoopBuilder<int64_t, uint64_t>()
+                  .step([N](int64_t &I, uint64_t &S, SpecSpace &) {
+                    if (I >= N)
+                      return false;
+                    S += static_cast<uint64_t>(I);
+                    ++I;
+                    return true;
+                  })
+                  .combine([](uint64_t &Into, uint64_t &&Chunk) {
+                    Into += Chunk;
+                  })
+                  .options(O)
+                  .build(RT);
+  std::vector<int64_t> Heads(N + 1);
+  for (int64_t I = 0; I <= N; ++I)
+    Heads[static_cast<size_t>(I)] = I;
+  unsigned Moves = 0, Modeled = 0, Balanced = 0, SinceMove = 0;
+  for (int I = 0; I != 12; ++I) {
+    const std::vector<int64_t> Pred = Loop.predictions();
+    const unsigned Chunks = Loop.tuning().PlannedChunks;
+    const bool AllRows =
+        !Pred.empty() && Loop.currentPlan().PerThread.size() == Pred.size() + 1;
+    ModelRows<int64_t> Want;
+    if (AllRows)
+      Want = modelRows(Heads, Pred, Loop.currentPlan(),
+                       [](int64_t) { return 1u; });
+    ASSERT_EQ(Loop.invoke(0), static_cast<uint64_t>(N) * (N - 1) / 2);
+    const unsigned Next = Loop.tuning().PlannedChunks;
+    if (AllRows) {
+      ASSERT_TRUE(Want.InOrder) << "invocation " << I;
+      // A shrink invalidates the rows past the new last chunk.
+      if (Next < Chunks)
+        Want.Rows.resize(Next - 1);
+      EXPECT_EQ(Loop.predictions(), Want.Rows) << "invocation " << I;
+      ++Modeled;
+    }
+    if (Next != Chunks) {
+      ++Moves;
+      SinceMove = 0;
+      continue;
+    }
+    if (++SinceMove < 2 || Moves == 0)
+      continue;
+    std::vector<int64_t> Cut;
+    for (unsigned R = 1; R != Chunks; ++R)
+      Cut.push_back(static_cast<int64_t>(R) * N / Chunks);
+    EXPECT_EQ(Loop.predictions(), Cut) << "invocation " << I;
+    ++Balanced;
+  }
+  EXPECT_EQ(Loop.stats().MisspeculatedInvocations, 0u);
+  EXPECT_GE(Moves, 2u);
+  EXPECT_GT(Modeled, 5u);
+  EXPECT_GT(Balanced, 3u);
+}
+
 /// Yield-spins until \p Done() holds, for at most ten seconds: a runtime
 /// that never gets there fails the test's assertions instead of hanging.
 template <typename Pred> void waitUntil(Pred Done) {
